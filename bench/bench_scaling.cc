@@ -34,8 +34,7 @@
 #include "data/point_store.h"
 #include "data/preprocess.h"
 #include "online/online_fairkm.h"
-#include "serve/assign_batch.h"
-#include "serve/model_snapshot.h"
+#include "testlib/scalar_assign.h"
 
 namespace {
 
@@ -228,47 +227,42 @@ void BM_FairKM_MultiSeed_Reused(benchmark::State& state) {
 }
 BENCHMARK(BM_FairKM_MultiSeed_Reused)->Unit(benchmark::kMillisecond);
 
-// Serving-path pair (n = 8192, d = 64, k = 8): _Scalar scores out-of-sample
-// points one at a time through FairKMSolver::Assign (naive per-candidate
-// distance loop); _Batched scores the same points through serve::AssignBatch
-// over a frozen ModelSnapshot — one GemvAligned pass per point against all k
-// centroids with the expanded-form distance and cached ||mu||^2. Assignments
+// Serving-path pair (n = 8192, d = 64, k = 8) over one exported model:
+// _Scalar scores out-of-sample points through the testlib scalar oracle
+// (naive per-candidate distance loop); _Batched through the core insertion
+// scorer (core::AssignToModel) — one GemvAligned pass per point against all
+// k centroids with the expanded-form distance and cached ||mu||^2. Both
+// validate the request first, so only the scoring loop differs. Assignments
 // are bit-identical (tests/serve_assign_test.cc); tools/bench_json.sh gates
 // Scalar/Batched >= MIN_ASSIGN_SPEEDUP. Both report points_per_sec.
 constexpr size_t kAssignN = 8192;
 constexpr size_t kAssignD = 64;
 
-struct AssignBenchModel {
-  core::FairKMSolver solver;
-  std::shared_ptr<const serve::ModelSnapshot> snapshot;
-};
-
-AssignBenchModel& AssignModel() {
-  static AssignBenchModel* cached = [] {
+const core::ModelExport& AssignModel() {
+  static const core::ModelExport* cached = [] {
     const auto& world = SyntheticWorld(kAssignN, kAssignD);
     core::FairKMOptions options;
     options.k = 8;
     options.lambda = core::SuggestLambda(kAssignN, options.k);
     options.max_iterations = 3;
-    auto* model = new AssignBenchModel{
+    core::FairKMSolver solver =
         core::FairKMSolver::Create(&world.features, &world.sensitive, options)
-            .ValueOrDie(),
-        nullptr};
-    model->solver.Init(uint64_t{1}).Abort();
-    model->solver.Run().ValueOrDie();
-    model->snapshot = serve::MakeModelSnapshot(model->solver).ValueOrDie();
-    return model;
+            .ValueOrDie();
+    solver.Init(uint64_t{1}).Abort();
+    solver.Run().ValueOrDie();
+    return new core::ModelExport(solver.ExportModel().ValueOrDie());
   }();
   return *cached;
 }
 
 void BM_Assign_Scalar(benchmark::State& state) {
-  AssignBenchModel& model = AssignModel();
+  const core::ModelExport& model = AssignModel();
   const auto& world = SyntheticWorld(kAssignN, kAssignD);
   size_t points = 0;
   Timer timer;
   for (auto _ : state) {
-    auto assigned = model.solver.Assign(world.features).ValueOrDie();
+    core::ValidateAssignRequest(model, world.features, nullptr).Abort();
+    auto assigned = testutil::ScalarAssign(model, world.features, nullptr);
     points += assigned.size();
     benchmark::DoNotOptimize(assigned.data());
   }
@@ -279,14 +273,14 @@ void BM_Assign_Scalar(benchmark::State& state) {
 BENCHMARK(BM_Assign_Scalar)->Unit(benchmark::kMillisecond);
 
 void BM_Assign_Batched(benchmark::State& state) {
-  AssignBenchModel& model = AssignModel();
+  const core::ModelExport& model = AssignModel();
   const auto& world = SyntheticWorld(kAssignN, kAssignD);
-  serve::AssignScratch scratch;
+  core::AssignScratch scratch;
   size_t points = 0;
   Timer timer;
   for (auto _ : state) {
     auto assigned =
-        serve::AssignBatch(*model.snapshot, world.features, nullptr, &scratch)
+        core::AssignToModel(model, world.features, nullptr, &scratch)
             .ValueOrDie();
     points += assigned.size();
     benchmark::DoNotOptimize(assigned.data());

@@ -73,9 +73,9 @@ struct FairKMOptions {
   bool enable_pruning = true;
 
   /// \brief The one documented validity surface for this struct: every
-  /// entry point that consumes FairKMOptions (FairKMSolver::Create, the
-  /// RunFairKM wrapper, core::ShardedSweep::Create) calls this instead of
-  /// scattering ad-hoc checks. Rejected (kInvalidArgument):
+  /// entry point that consumes FairKMOptions (FairKMSolver::Create,
+  /// core::ShardedSweep::Create) calls this instead of scattering ad-hoc
+  /// checks. Rejected (kInvalidArgument):
   ///   * k <= 0,
   ///   * max_iterations <= 0,
   ///   * minibatch_size < 0,
@@ -116,21 +116,6 @@ struct FairKMResult : cluster::ClusteringResult {
 
 /// \brief The paper's §5.4 heuristic: lambda = (n/k)^2.
 double SuggestLambda(size_t num_rows, int k);
-
-/// \brief Runs FairKM. `sensitive` may contain any mix of categorical and
-/// numeric attributes; with an empty view (or lambda = 0) FairKM degenerates
-/// to a move-based K-Means.
-///
-/// This is a thin compatibility wrapper over core::FairKMSolver
-/// (core/solver.h): construct, Init from `rng`, Run to convergence or
-/// options.max_iterations. Callers that run many seeds, need stepwise
-/// control, checkpoints or out-of-sample assignment should use the solver
-/// directly. Deprecated since the PR 5 lifecycle migration; the remaining
-/// in-tree callers are the oracle cross-checks that pin the wrapper's
-/// bit-identical-to-solver contract.
-[[deprecated("use FairKMSolver")]] Result<FairKMResult> RunFairKM(
-    const data::Matrix& points, const data::SensitiveView& sensitive,
-    const FairKMOptions& options, Rng* rng);
 
 }  // namespace core
 }  // namespace fairkm

@@ -1,7 +1,7 @@
 // Naive reference implementation of FairKM.
 //
-// Identical search procedure to RunFairKM, but every candidate move is
-// evaluated by recomputing the full objective (Eq. 1) from scratch —
+// Identical search procedure to the FairKMSolver sweep, but every candidate
+// move is evaluated by recomputing the full objective (Eq. 1) from scratch —
 // O(n d + sum_S m_S) per candidate instead of O(d + sum_S m_S) deltas. This
 // exists purely as ground truth: property tests check that the fast
 // incremental optimizer makes the same decisions and reaches the same

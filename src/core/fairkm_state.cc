@@ -233,6 +233,7 @@ Status FairKMState::AdmitAppended(int to) {
                                      "\" cardinality");
     }
     ++cat_counts_[a][ti * attr.cardinality + v];
+    RecomputeCatMoments(a, to);
   }
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
     num_sums_[a][ti] += sensitive_->numeric[a].values[i];
@@ -271,6 +272,7 @@ Status FairKMState::RetireSwapped(size_t r) {
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
     --cat_counts_[a][ci * attr.cardinality + attr.codes[r]];
+    RecomputeCatMoments(a, static_cast<int>(ci));
   }
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
     num_sums_[a][ci] -= sensitive_->numeric[a].values[r];
@@ -716,54 +718,26 @@ double FairKMState::DeltaFairness(size_t i, int to) const {
   return delta;
 }
 
-double FairKMState::DeltaFairnessInsertion(const int32_t* cat_codes,
-                                           const double* num_values,
-                                           int to) const {
-  if (sensitive_->empty()) return 0.0;
-  const size_t c_to = counts_[static_cast<size_t>(to)];
-  const double scale_to_before = ClusterScale(config_.weighting, c_to, n_);
-  const double scale_to_after = ClusterScale(config_.weighting, c_to + 1, n_);
-
-  double delta = 0.0;
-  for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
-    const auto& attr = sensitive_->categorical[a];
-    const int m = attr.cardinality;
-    const int32_t v = cat_codes[a];
-    FAIRKM_DCHECK(v >= 0 && v < m);
-    const double q_v = attr.dataset_fractions[v];
-    const double q2 = cat_q2_[a];
-    const double norm =
-        config_.normalize_domain ? 1.0 / static_cast<double>(m) : 1.0;
-    // Insertion sends u_s -> u_s - q_s + [s=v] (same closed form as the
-    // target-cluster half of DeltaFairness).
-    const double u2_to = cat_u2_[a][static_cast<size_t>(to)];
-    const double uq_to = cat_uq_[a][static_cast<size_t>(to)];
-    const double u_v_to =
-        static_cast<double>(cat_counts_[a][static_cast<size_t>(to) * m + v]) -
-        static_cast<double>(c_to) * q_v;
-    const double after_to = u2_to + q2 + 1.0 - 2.0 * (uq_to - u_v_to + q_v);
-    delta += attr.weight * norm *
-             (scale_to_after * after_to - scale_to_before * u2_to);
-  }
-  for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
-    const auto& attr = sensitive_->numeric[a];
-    const double x = num_values[a];
-    const double mean = attr.dataset_mean;
-    const double u =
-        num_sums_[a][static_cast<size_t>(to)] - static_cast<double>(c_to) * mean;
-    const double u_after = u + x - mean;
-    delta += attr.weight *
-             (scale_to_after * u_after * u_after - scale_to_before * u * u);
-  }
-  return delta;
-}
-
 void FairKMState::ExportFairnessMoments(FairnessMomentTables* out) const {
   out->cat_counts = cat_counts_;
   out->cat_u2 = cat_u2_;
   out->cat_uq = cat_uq_;
   out->cat_q2 = cat_q2_;
   out->num_sums = num_sums_;
+}
+
+void FairKMState::ExportClusterMoments(int c, FairnessMomentTables* out) const {
+  const size_t ci = static_cast<size_t>(c);
+  for (size_t a = 0; a < cat_counts_.size(); ++a) {
+    const size_t m = static_cast<size_t>(sensitive_->categorical[a].cardinality);
+    std::copy_n(cat_counts_[a].begin() + static_cast<ptrdiff_t>(ci * m), m,
+                out->cat_counts[a].begin() + static_cast<ptrdiff_t>(ci * m));
+    out->cat_u2[a][ci] = cat_u2_[a][ci];
+    out->cat_uq[a][ci] = cat_uq_[a][ci];
+  }
+  for (size_t a = 0; a < num_sums_.size(); ++a) {
+    out->num_sums[a][ci] = num_sums_[a][ci];
+  }
 }
 
 void FairKMState::SaveCheckpoint(Checkpoint* out) const {

@@ -150,18 +150,20 @@ class FairKMState {
   /// \brief Folds one just-appended point into the aggregates: the backing
   /// store AND the sensitive view must already hold num_rows()+1 rows, and
   /// the new row is assigned to cluster `to`. Updates assignment, counts,
-  /// feature sums, norm caches and per-attribute count/sum tables
-  /// incrementally in O(d + |S|). Dataset-statistic-dependent values (the
-  /// view's fractions/means, cat_q2_, every U2/UQ moment, all bounds) go
+  /// feature sums, norm caches, per-attribute count/sum tables and cluster
+  /// `to`'s U2/UQ moments (against the view's current fractions) in
+  /// O(d + sum_S m_S), so FairnessTermCached() and every insertion price
+  /// stay consistent with the counts within a batch. Only the view's
+  /// fractions/means themselves (n-dependent) and the bound tables go
   /// stale — the caller MUST call RefreshDatasetStats() after its admit
-  /// batch, before any delta/objective query.
+  /// batch.
   Status AdmitAppended(int to);
 
   /// \brief Removes row r's contributions and mirrors the swap-with-last
   /// the caller is about to apply to the store and view: row r's aggregates
   /// are subtracted, then the LAST row's assignment/norm slide into slot r
   /// and the state shrinks by one row. Call BEFORE mutating the store (this
-  /// reads row r). Same staleness contract as AdmitAppended.
+  /// reads row r). Same moment and staleness contract as AdmitAppended.
   Status RetireSwapped(size_t r);
 
   /// \brief Recomputes everything that depends on the dataset-level
@@ -204,16 +206,6 @@ class FairKMState {
   /// \brief Exact change of the fairness deviation term for the same move,
   /// in O(1) per sensitive attribute (see the header comment derivation).
   double DeltaFairness(size_t i, int to) const;
-
-  /// \brief Fairness-term change of inserting an OUT-OF-SAMPLE point with
-  /// the given sensitive values into cluster `to` (the serving-path half of
-  /// DeltaFairness: no removal, the dataset size n and the dataset-level
-  /// fractions stay those of the training data — the trained model is not
-  /// mutated). `cat_codes` must hold one code per categorical attribute of
-  /// the training view (in view order), `num_values` one value per numeric
-  /// attribute; either may be null when the view has none.
-  double DeltaFairnessInsertion(const int32_t* cat_codes,
-                                const double* num_values, int to) const;
 
   /// \brief Pre-expansion O(d) two-distance K-Means delta (oracle/bench).
   double ReferenceDeltaKMeans(size_t i, int to) const;
@@ -322,15 +314,13 @@ class FairKMState {
   /// (its removal not included), in O(|S|) table lookups.
   double FairInsertionDelta(size_t i, int c) const;
 
-  // --- Model export (the serving tier's frozen-snapshot path, src/serve/).
+  // --- Model export (core::ModelExport, the insertion scorer's input).
 
-  /// \brief Copy-out of the fairness moment tables a frozen model snapshot
-  /// needs to price DeltaFairnessInsertion without touching the live state:
-  /// the exact integer value counts, the maintained U2/UQ moments, the
-  /// assignment-independent Q2 constants and the numeric value sums. The
-  /// copied doubles are the exact values the live insertion delta reads, so
-  /// a snapshot evaluated with the same arithmetic reproduces it
-  /// bit-for-bit.
+  /// \brief Copy-out of the fairness moment tables the out-of-sample
+  /// insertion scorer (core/assign.h) prices against without touching the
+  /// live state: the exact integer value counts, the maintained U2/UQ
+  /// moments, the assignment-independent Q2 constants and the numeric value
+  /// sums.
   struct FairnessMomentTables {
     std::vector<std::vector<int64_t>> cat_counts;  ///< [a][c * m_a + s]
     std::vector<std::vector<double>> cat_u2;       ///< [a][c]
@@ -339,6 +329,9 @@ class FairKMState {
     std::vector<std::vector<double>> num_sums;     ///< [a][c]
   };
   void ExportFairnessMoments(FairnessMomentTables* out) const;
+  /// \brief Copies only cluster c's entries into `out`, which must already
+  /// have the shapes ExportFairnessMoments gives. O(sum_S m_S).
+  void ExportClusterMoments(int c, FairnessMomentTables* out) const;
 
   /// \brief Padded row width of the k x stride cluster-sum matrix.
   size_t stride() const { return stride_; }

@@ -1,8 +1,7 @@
 // FairKMSolver — the session API around the paper's Algorithm 1.
 //
-// core::RunFairKM (core/fairkm.h) runs one seed, blocking, rebuilding every
-// cache from scratch. The solver factors that single call into an explicit
-// lifecycle so serving-style workloads can amortize and observe it:
+// The solver runs Algorithm 1 as an explicit lifecycle, so multi-seed,
+// serving-style and online workloads can amortize and observe it:
 //
 //   * Create once per (dataset, sensitive view): validates the options and
 //     captures the inputs. The expensive immutable caches — the aligned
@@ -29,8 +28,9 @@
 //   * Assign(new_points[, new_sensitive]) is the out-of-sample serving
 //     path: each new point goes to the non-empty trained cluster minimizing
 //     its Eq. 1 insertion cost |C|/(|C|+1) d(x, mu_C)^2 (+ lambda times the
-//     fairness insertion delta when sensitive values are supplied). The
-//     trained model is not mutated; points are scored independently.
+//     fairness insertion delta when sensitive values are supplied), scored
+//     by the core insertion scorer (core/assign.h) against ExportModel().
+//     The trained model is not mutated; points are scored independently.
 //
 // The solver is move-only; it references the points/sensitive view, which
 // must outlive it unchanged.
@@ -55,6 +55,7 @@
 #include "cluster/clusterer.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/assign.h"
 #include "core/fairkm.h"
 #include "core/fairkm_state.h"
 #include "core/pruning.h"
@@ -158,47 +159,6 @@ struct SolverCheckpoint {
   double sweep_seconds = 0.0;
 };
 
-/// \brief Self-contained frozen copy of a trained FairKM model: everything
-/// the out-of-sample serving path (src/serve/) needs to score Eq. 1
-/// insertion costs without touching the live solver — exact centroids in the
-/// aligned lane-padded kernel layout with their cached squared norms
-/// (expanded-form distance), cluster sizes, the fairness moment tables, and
-/// the training view's attribute structure (names, cardinalities, TRAINING
-/// dataset fractions/means, weights — the trained model is the distribution
-/// reference for out-of-sample deltas). Owns all of its storage; the solver
-/// and its inputs may mutate or die after the export.
-struct ModelExport {
-  size_t num_rows = 0;  ///< Training-set size n.
-  size_t d = 0;         ///< Feature width.
-  size_t stride = 0;    ///< Padded centroid row width (multiple of 4).
-  int k = 0;
-  double lambda = 0.0;  ///< Resolved fairness weight of the session.
-  FairnessTermConfig config;
-  std::vector<size_t> counts;  ///< Cluster sizes (empty clusters stay 0).
-  /// k x stride centroid matrix, 32-byte aligned rows, zero padding and
-  /// all-zero rows for empty clusters — GemvAligned streams it directly.
-  data::AlignedVector centroids;
-  std::vector<double> centroid_norms;  ///< ||mu_c||^2 (0 for empty clusters).
-  FairKMState::FairnessMomentTables moments;
-
-  /// \brief Structure + training-data distribution of one categorical
-  /// sensitive attribute.
-  struct CategoricalAttr {
-    std::string name;
-    int cardinality = 0;
-    std::vector<double> dataset_fractions;  ///< Training Fr_X(s).
-    double weight = 1.0;
-  };
-  /// \brief Structure + training-data mean of one numeric attribute.
-  struct NumericAttr {
-    std::string name;
-    double dataset_mean = 0.0;  ///< Training dataset average.
-    double weight = 1.0;
-  };
-  std::vector<CategoricalAttr> categorical;
-  std::vector<NumericAttr> numeric;
-};
-
 /// \brief Reusable FairKM optimization session (see the header comment).
 class FairKMSolver {
  public:
@@ -230,7 +190,7 @@ class FairKMSolver {
   ~FairKMSolver();
 
   /// \brief Starts a run from the options' initialization strategy, drawing
-  /// from `rng` exactly as RunFairKM does (equal seeds, equal trajectories).
+  /// from `rng` (equal seeds, equal trajectories).
   Status Init(Rng* rng);
   /// \brief Convenience: Init with a fresh Rng(seed).
   Status Init(uint64_t seed);
@@ -298,8 +258,9 @@ class FairKMSolver {
 
   // --- Serving path.
   /// \brief Maps out-of-sample points (same feature width) to the trained
-  /// clusters by Eq. 1 K-Means insertion cost. Empty clusters are not
-  /// candidates; ties break toward the smallest cluster id.
+  /// clusters by Eq. 1 K-Means insertion cost: ExportModel() scored by
+  /// core::AssignToModel. Empty clusters are not candidates; ties break
+  /// toward the smallest cluster id.
   Result<cluster::Assignment> Assign(const data::Matrix& new_points) const;
   /// \brief Same, adding lambda times the fairness insertion delta of each
   /// point's sensitive values. `new_sensitive` must mirror the training
@@ -310,10 +271,11 @@ class FairKMSolver {
       const data::Matrix& new_points,
       const data::SensitiveView& new_sensitive) const;
   /// \brief Freezes the current trained model into a self-contained
-  /// ModelExport (see its comment) — the input of serve::ModelSnapshot.
-  /// Requires initialized(); call only from the solver's owning thread at a
-  /// consistent point (between sweeps, or inside a Run progress callback,
-  /// which fires at mini-batch boundaries with all aggregates consistent).
+  /// ModelExport (core/assign.h) — the insertion scorer's input and the
+  /// payload of serve::ModelSnapshot. Requires initialized(); call only from
+  /// the solver's owning thread at a consistent point (between sweeps, or
+  /// inside a Run progress callback, which fires at mini-batch boundaries
+  /// with all aggregates consistent).
   Result<ModelExport> ExportModel() const;
 
   // --- Online growth (src/online/).
@@ -372,9 +334,6 @@ class FairKMSolver {
   void ProcessBatchSerial(size_t batch_start, size_t batch_end);
   void ProcessBatchParallel(size_t batch_start, size_t batch_end);
   bool ApplyBestMove(size_t i, const double* km_deltas);
-  Result<cluster::Assignment> AssignImpl(
-      const data::Matrix& new_points,
-      const data::SensitiveView* new_sensitive) const;
   double* DistsRow(size_t offset) {
     return pruner_ ? km_dists_.data() + offset * static_cast<size_t>(options_.k)
                    : nullptr;

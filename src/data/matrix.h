@@ -68,8 +68,8 @@ inline size_t PaddedStride(size_t cols) {
 
 /// \brief Row-major dense matrix (n_rows x n_cols) of doubles. Storage is
 /// 32-byte aligned so that when cols is a whole number of SIMD lanes every
-/// row is kernel-ready in place (the serving tier's AssignBatch streams such
-/// matrices through the aligned kernels without copying).
+/// row is kernel-ready in place (the insertion scorer, core/assign.h,
+/// streams such matrices through the aligned kernels without copying).
 class Matrix {
  public:
   Matrix() = default;

@@ -34,6 +34,24 @@ Status SensitiveView::Validate(size_t expected_rows) const {
             " outside cardinality " + std::to_string(attr.cardinality));
       }
     }
+    // Every fairness price reads these fractions; a table that is not a
+    // distribution (e.g. zeros from a view that only carried the codes)
+    // would train and serve plausible-looking but wrong clusters.
+    double total = 0.0;
+    for (const double f : attr.dataset_fractions) {
+      if (!std::isfinite(f) || f < 0.0) {
+        return Status::InvalidArgument(
+            "sensitive attribute '" + attr.name +
+            "' has a non-finite or negative dataset fraction");
+      }
+      total += f;
+    }
+    if (expected_rows > 0 && std::fabs(total - 1.0) > 1e-9) {
+      return Status::InvalidArgument(
+          "sensitive attribute '" + attr.name +
+          "' dataset fractions sum to " + std::to_string(total) +
+          ", not 1");
+    }
   }
   for (const auto& attr : numeric) {
     if (attr.values.size() != expected_rows) {

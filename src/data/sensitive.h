@@ -53,9 +53,11 @@ struct SensitiveView {
   /// categorical attribute with fewer rows) passes a num_rows() check and
   /// then indexes out of bounds downstream. This checks EVERY attribute:
   /// each categorical attribute must have `expected_rows` codes, a positive
-  /// cardinality, one dataset fraction per value, and every code within
-  /// [0, cardinality); each numeric attribute must have `expected_rows`
-  /// values. An empty view is always valid.
+  /// cardinality, one finite non-negative dataset fraction per value, every
+  /// code within [0, cardinality), and — when `expected_rows` > 0 —
+  /// fractions summing to 1 within 1e-9; each numeric attribute must have
+  /// `expected_rows` finite values and a finite mean. An empty view is
+  /// always valid.
   Status Validate(size_t expected_rows) const;
 
   /// \brief View restricted to a single categorical attribute (used for the

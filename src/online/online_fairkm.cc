@@ -33,55 +33,6 @@ std::string SolverCheckpointPath(const std::string& dir) {
   return dir + "/online-solver.fkmc";
 }
 
-// Mirrors the per-row structural validation of FairKMSolver::AssignImpl: the
-// admitted batch's sensitive view must mirror the training view's attribute
-// structure, cover every row, and stay inside the trained cardinalities.
-Status ValidateAdmitSensitive(const data::SensitiveView& training,
-                              const data::SensitiveView& incoming,
-                              size_t rows) {
-  if (incoming.categorical.size() != training.categorical.size() ||
-      incoming.numeric.size() != training.numeric.size()) {
-    return Status::InvalidArgument(
-        "admitted sensitive view must mirror the training view's attribute "
-        "structure (same categorical/numeric attributes, same order)");
-  }
-  for (size_t a = 0; a < training.categorical.size(); ++a) {
-    const auto& attr = incoming.categorical[a];
-    const int m = training.categorical[a].cardinality;
-    if (attr.codes.size() != rows) {
-      return Status::InvalidArgument(
-          "admitted sensitive attribute \"" + training.categorical[a].name +
-          "\" covers " + std::to_string(attr.codes.size()) +
-          " rows, points have " + std::to_string(rows));
-    }
-    for (size_t i = 0; i < rows; ++i) {
-      if (attr.codes[i] < 0 || attr.codes[i] >= m) {
-        return Status::InvalidArgument(
-            "attribute \"" + training.categorical[a].name + "\" code " +
-            std::to_string(attr.codes[i]) + " at row " + std::to_string(i) +
-            " outside the trained cardinality " + std::to_string(m));
-      }
-    }
-  }
-  for (size_t a = 0; a < training.numeric.size(); ++a) {
-    const auto& attr = incoming.numeric[a];
-    if (attr.values.size() != rows) {
-      return Status::InvalidArgument(
-          "admitted sensitive attribute \"" + training.numeric[a].name +
-          "\" covers " + std::to_string(attr.values.size()) +
-          " rows, points have " + std::to_string(rows));
-    }
-    for (size_t i = 0; i < rows; ++i) {
-      if (!std::isfinite(attr.values[i])) {
-        return Status::InvalidArgument(
-            "admitted sensitive attribute \"" + training.numeric[a].name +
-            "\" has a non-finite value at row " + std::to_string(i));
-      }
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Create(
@@ -99,11 +50,15 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Create(
     return Status::InvalidArgument("drift.resweep_max_sweeps must be > 0");
   }
   FAIRKM_RETURN_NOT_OK(data::ValidateFinite(initial_points, "initial points"));
-  FAIRKM_RETURN_NOT_OK(initial_sensitive.Validate(initial_points.rows()));
 
   std::unique_ptr<OnlineFairKM> engine(new OnlineFairKM(options, service));
+  std::lock_guard<std::mutex> lock(engine->mu_);
   engine->store_ = std::make_shared<data::PointStore>(initial_points);
+  // Train on the distribution of the rows themselves, derived exactly as
+  // Admit/Retire re-derive it — never on the caller's fractions/means.
   engine->view_ = initial_sensitive;
+  engine->RefreshViewLocked();
+  FAIRKM_RETURN_NOT_OK(engine->view_.Validate(initial_points.rows()));
   FAIRKM_ASSIGN_OR_RETURN(
       core::FairKMSolver solver,
       core::FairKMSolver::Create(
@@ -121,7 +76,6 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Create(
   FAIRKM_ASSIGN_OR_RETURN(core::RunStop stop, engine->solver_->Run());
   (void)stop;
 
-  std::lock_guard<std::mutex> lock(engine->mu_);
   engine->AssignInitialIdsLocked();
   engine->baseline_per_point_ =
       engine->solver_->Objective() /
@@ -149,82 +103,35 @@ Result<std::vector<uint64_t>> OnlineFairKM::Admit(
   std::lock_guard<std::mutex> lock(mu_);
   const size_t rows = points.rows();
   if (rows == 0) return std::vector<uint64_t>{};
-  if (points.cols() != store_->cols()) {
+  const bool fairness_aware = !view_.empty();
+  if (fairness_aware && sensitive == nullptr) {
     return Status::InvalidArgument(
-        "admitted points have " + std::to_string(points.cols()) +
-        " features, the live model has " + std::to_string(store_->cols()));
+        "the live model trains on sensitive attributes; Admit needs a "
+        "matching sensitive view for the admitted rows");
   }
-  FAIRKM_RETURN_NOT_OK(data::ValidateFinite(points, "admitted points"));
-  const size_t num_cat = view_.categorical.size();
-  const size_t num_num = view_.numeric.size();
-  const bool fairness_aware = num_cat + num_num > 0;
-  if (fairness_aware) {
-    if (sensitive == nullptr) {
-      return Status::InvalidArgument(
-          "the live model trains on sensitive attributes; Admit needs a "
-          "matching sensitive view for the admitted rows");
-    }
-    FAIRKM_RETURN_NOT_OK(ValidateAdmitSensitive(view_, *sensitive, rows));
-  }
+  // One export per call, validated once; after each admitted row only the
+  // target cluster's slice is refreshed, so every row prices against the
+  // aggregates the earlier rows of this batch shifted (the dataset-level
+  // fractions/means stay those in force for the batch).
+  FAIRKM_ASSIGN_OR_RETURN(core::ModelExport model, solver_->ExportModel());
+  FAIRKM_RETURN_NOT_OK(core::ValidateAssignRequest(model, points, sensitive));
 
-  const core::FairKMState& st = solver_->state();
-  const double lambda = solver_->lambda();
-  const int k = solver_->k();
   const size_t d = store_->cols();
-  std::vector<int32_t> codes(num_cat, 0);
-  std::vector<double> values(num_num, 0.0);
+  core::AssignScratch scratch;
+  cluster::Assignment placed(rows, 0);
   std::vector<uint64_t> ids;
   ids.reserve(rows);
   for (size_t i = 0; i < rows; ++i) {
-    const double* x = points.Row(i);
-    for (size_t a = 0; a < num_cat; ++a) {
-      codes[a] = sensitive->categorical[a].codes[i];
+    core::ScoreRows(model, points, i, i + 1, sensitive, &scratch, &placed);
+    FAIRKM_RETURN_NOT_OK(store_->AppendRow(points.Row(i), d));
+    for (size_t a = 0; a < view_.categorical.size(); ++a) {
+      view_.categorical[a].codes.push_back(sensitive->categorical[a].codes[i]);
     }
-    for (size_t a = 0; a < num_num; ++a) {
-      values[a] = sensitive->numeric[a].values[i];
+    for (size_t a = 0; a < view_.numeric.size(); ++a) {
+      view_.numeric[a].values.push_back(sensitive->numeric[a].values[i]);
     }
-    // Live Eq. 1 insertion cost: |C|/(|C|+1) d(x, mu_C)^2 + lambda *
-    // fairness insertion delta, over the aggregates as already shifted by
-    // the earlier rows of this batch. Empty clusters are not candidates;
-    // ties break toward the smallest cluster id (same as AssignImpl).
-    const data::AlignedVector& sums = st.cluster_sums();
-    const size_t stride = st.stride();
-    double best = 0.0;
-    int best_cluster = -1;
-    for (int c = 0; c < k; ++c) {
-      const size_t cnt = st.cluster_size(c);
-      if (cnt == 0) continue;
-      const double inv = 1.0 / static_cast<double>(cnt);
-      const double* s = sums.data() + static_cast<size_t>(c) * stride;
-      double dist = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        const double diff = x[j] - s[j] * inv;
-        dist += diff * diff;
-      }
-      double cost =
-          static_cast<double>(cnt) / static_cast<double>(cnt + 1) * dist;
-      if (fairness_aware) {
-        cost += lambda *
-                st.DeltaFairnessInsertion(codes.data(), values.data(), c);
-      }
-      if (best_cluster < 0 || cost < best) {
-        best = cost;
-        best_cluster = c;
-      }
-    }
-    if (best_cluster < 0) {
-      return Status::InvalidArgument(
-          "live model has no non-empty cluster to admit into");
-    }
-    FAIRKM_RETURN_NOT_OK(store_->AppendRow(x, d));
-    for (size_t a = 0; a < num_cat; ++a) {
-      view_.categorical[a].codes.push_back(codes[a]);
-    }
-    for (size_t a = 0; a < num_num; ++a) {
-      view_.numeric[a].values.push_back(values[a]);
-    }
-    FAIRKM_RETURN_NOT_OK(
-        solver_->mutable_state()->AdmitAppended(best_cluster));
+    FAIRKM_RETURN_NOT_OK(solver_->mutable_state()->AdmitAppended(placed[i]));
+    core::ExportClusterSlice(solver_->state(), placed[i], &model);
     const uint64_t id = next_id_++;
     id_to_row_.emplace(id, row_ids_.size());
     row_ids_.push_back(id);
@@ -284,18 +191,23 @@ Status OnlineFairKM::Retire(const std::vector<uint64_t>& ids) {
 
 void OnlineFairKM::RefreshViewLocked() {
   // Re-derive the dataset-level distribution exactly the way a from-scratch
-  // load over the surviving rows would: integer counts divided by n, and
-  // numeric sums accumulated in row order 0..n-1 — the oracle's fresh view
-  // must be able to reproduce these doubles bit-for-bit.
-  const double n = static_cast<double>(row_ids_.size());
+  // load over the live rows would: integer counts divided by n, and numeric
+  // sums accumulated in row order 0..n-1 — the oracle's fresh view must be
+  // able to reproduce these doubles bit-for-bit. Codes outside the
+  // cardinality are skipped here; Create's Validate rejects them right after
+  // (Admit never stores one).
+  const double n = static_cast<double>(store_->rows());
   for (auto& attr : view_.categorical) {
-    std::vector<size_t> counts(static_cast<size_t>(attr.cardinality), 0);
+    const size_t card = static_cast<size_t>(std::max(attr.cardinality, 0));
+    std::vector<size_t> counts(card, 0);
     for (const int32_t code : attr.codes) {
-      ++counts[static_cast<size_t>(code)];
+      if (code >= 0 && static_cast<size_t>(code) < card) {
+        ++counts[static_cast<size_t>(code)];
+      }
     }
-    for (int s = 0; s < attr.cardinality; ++s) {
-      attr.dataset_fractions[static_cast<size_t>(s)] =
-          static_cast<double>(counts[static_cast<size_t>(s)]) / n;
+    attr.dataset_fractions.resize(card);
+    for (size_t s = 0; s < card; ++s) {
+      attr.dataset_fractions[s] = static_cast<double>(counts[s]) / n;
     }
   }
   for (auto& attr : view_.numeric) {

@@ -8,9 +8,12 @@
 //
 //   * Admit(points, sensitive): each admitted point is placed by its exact
 //     Eq. 1 insertion cost — |C|/(|C|+1) d(x, mu_C)^2 plus lambda times the
-//     fairness insertion delta (FairKMState::DeltaFairnessInsertion) —
-//     scored LIVE, so the second point of a batch prices against the
-//     aggregates the first one shifted. The point lands in a growable `mem`
+//     fairness insertion delta — through the core insertion scorer
+//     (core/assign.h), scored LIVE: the call exports the model once and
+//     refreshes the target cluster's slice after every admitted row, so the
+//     second point of a batch prices against the counts, centroid and
+//     fairness moments the first one shifted (the dataset-level fractions
+//     stay those in force for the batch). The point lands in a growable `mem`
 //     PointStore (a read-only mmap store refuses with an actionable
 //     kInvalidArgument), the state adopts it via AdmitAppended, and the
 //     caller gets back a stable uint64 id.
@@ -116,6 +119,9 @@ class OnlineFairKM {
   /// ids 1..n to the initial rows, publishes generation 1 to `service` (may
   /// be null — the engine then only tracks generations), and, when a
   /// checkpoint_dir is configured, writes the first durable checkpoint.
+  /// Only the structure, codes, values and weights of `initial_sensitive`
+  /// are used: its dataset fractions/means are re-derived from the rows,
+  /// exactly as every Admit/Retire re-derives them.
   static Result<std::unique_ptr<OnlineFairKM>> Create(
       const data::Matrix& initial_points,
       const data::SensitiveView& initial_sensitive,
@@ -136,9 +142,10 @@ class OnlineFairKM {
   /// \brief Admits a batch: each row is scored by its live Eq. 1 insertion
   /// cost and appended to the store/state. When the training view carries
   /// sensitive attributes, `sensitive` must mirror its structure and cover
-  /// every admitted row (same contract as FairKMSolver::Assign); with an
-  /// attribute-free view it may be null. Returns the stable ids, in row
-  /// order. The whole batch is validated before the first row is admitted.
+  /// every admitted row (core::ValidateAssignRequest, the same contract as
+  /// FairKMSolver::Assign); with an attribute-free view it may be null.
+  /// Returns the stable ids, in row order. The whole batch is validated
+  /// before the first row is admitted.
   Result<std::vector<uint64_t>> Admit(
       const data::Matrix& points,
       const data::SensitiveView* sensitive = nullptr);

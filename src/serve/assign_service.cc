@@ -7,7 +7,7 @@
 
 #include "common/fault_injection.h"
 #include "common/timer.h"
-#include "serve/assign_batch.h"
+#include "core/assign.h"
 
 namespace fairkm {
 namespace serve {
@@ -31,46 +31,12 @@ SteadyClock::time_point DeadlineFrom(SteadyClock::time_point start,
                      std::chrono::duration<double>(seconds));
 }
 
-// FNV-1a 64 over the full request payload: shape, raw point bytes, and (when
-// present) the sensitive codes/values. Doubles hash by their bit images, so
-// two requests collide only when they are bit-identical inputs — exactly the
-// case where the cached assignment is the correct answer (modulo the
-// astronomically unlikely 64-bit hash collision, which the entry's row-count
-// check narrows further).
-uint64_t HashRequest(const data::Matrix& points,
-                     const data::SensitiveView* sensitive) {
-  uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](const void* data, size_t size) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      h = (h ^ p[i]) * 1099511628211ULL;
-    }
-  };
-  const uint64_t rows = points.rows();
-  const uint64_t cols = points.cols();
-  mix(&rows, sizeof(rows));
-  mix(&cols, sizeof(cols));
-  mix(points.data().data(), points.rows() * points.cols() * sizeof(double));
-  const uint8_t has_sensitive = sensitive != nullptr ? 1 : 0;
-  mix(&has_sensitive, sizeof(has_sensitive));
-  if (sensitive != nullptr) {
-    for (const auto& attr : sensitive->categorical) {
-      mix(attr.codes.data(), attr.codes.size() * sizeof(int32_t));
-    }
-    for (const auto& attr : sensitive->numeric) {
-      mix(attr.values.data(), attr.values.size() * sizeof(double));
-    }
-  }
-  return h;
-}
-
 }  // namespace
 
 AssignService::AssignService(const AssignServiceOptions& options)
     : max_batch_points_(std::max<size_t>(options.max_batch_points, 1)),
       max_concurrency_(ResolveConcurrency(options.max_concurrency)),
-      max_queue_depth_(options.max_queue_depth),
-      cache_capacity_(options.request_cache_capacity) {}
+      max_queue_depth_(options.max_queue_depth) {}
 
 void AssignService::Publish(std::shared_ptr<const ModelSnapshot> snapshot) {
   // Stamp the publish time before the swap: a Metrics() racing in between
@@ -81,10 +47,6 @@ void AssignService::Publish(std::shared_ptr<const ModelSnapshot> snapshot) {
     if (shutdown_) return;
     ++publishes_;
     publish_time_ = Clock::now();
-    // Republish invalidates every cached answer: the new generation may
-    // assign the same request differently.
-    cache_lru_.clear();
-    cache_index_.clear();
   }
   std::atomic_store(&snapshot_, std::move(snapshot));
 }
@@ -218,7 +180,9 @@ Result<cluster::Assignment> AssignService::Assign(
     return Status::Unavailable(
         "no model published yet: retry after the first Publish");
   }
-  if (Status st = ValidateAssignInputs(*model, points, sensitive); !st.ok()) {
+  const core::ModelExport& trained = model->model();
+  if (Status st = core::ValidateAssignRequest(trained, points, sensitive);
+      !st.ok()) {
     return fail(std::move(st));
   }
   const size_t rows = points.rows();
@@ -233,42 +197,12 @@ Result<cluster::Assignment> AssignService::Assign(
     ++requests_;
     return out;
   }
-  if (!model->has_candidates()) {
-    return fail(Status::InvalidArgument(
-        "trained model has no non-empty cluster to assign to"));
-  }
-
-  // Preprocessed-request cache: a repeat of a batch already scored under the
-  // pinned snapshot version skips the admission gate and the scoring loop
-  // entirely. The version check (not just the Publish-time clear) closes the
-  // race where a request pinned the previous generation while a publish and
-  // a newer-generation insert landed in between.
-  uint64_t cache_key = 0;
-  if (cache_capacity_ > 0) {
-    cache_key = HashRequest(points, sensitive);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      ++requests_;
-      ++errors_;
-      return Status::Unavailable("AssignService is shut down");
-    }
-    const auto it = cache_index_.find(cache_key);
-    if (it != cache_index_.end() && it->second->version == model->version() &&
-        it->second->result.size() == rows) {
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-      ++requests_;
-      ++cache_hits_;
-      return it->second->result;
-    }
-    ++cache_misses_;
-  }
-
   if (Status st = AcquireSlot(deadline, queue_deadline); !st.ok()) {
     return fail(std::move(st));
   }
   // Reused across requests on this thread — the steady state allocates
   // nothing (the buffers only grow to the largest batch/k/|S| seen).
-  thread_local AssignScratch scratch;
+  thread_local core::AssignScratch scratch;
   Timer timer;
   uint64_t request_batches = 0;
   uint64_t request_max_batch = 0;
@@ -291,7 +225,7 @@ Result<cluster::Assignment> AssignService::Assign(
       break;
     }
     const size_t end = std::min(rows, begin + max_batch_points_);
-    AssignRows(*model, points, begin, end, sensitive, &scratch, &out);
+    core::ScoreRows(trained, points, begin, end, sensitive, &scratch, &out);
     ++request_batches;
     request_max_batch = std::max<uint64_t>(request_max_batch, end - begin);
     scored = end;
@@ -314,22 +248,6 @@ Result<cluster::Assignment> AssignService::Assign(
     return batch_status;
   }
   points_ += rows;
-  if (cache_capacity_ > 0) {
-    const auto it = cache_index_.find(cache_key);
-    if (it != cache_index_.end()) {
-      // Same key, older generation: refresh the entry in place.
-      it->second->version = model->version();
-      it->second->result = out;
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-    } else {
-      cache_lru_.push_front({cache_key, model->version(), out});
-      cache_index_[cache_key] = cache_lru_.begin();
-      if (cache_lru_.size() > cache_capacity_) {
-        cache_index_.erase(cache_lru_.back().key);
-        cache_lru_.pop_back();
-      }
-    }
-  }
   return out;
 }
 
@@ -361,8 +279,6 @@ ServeMetrics AssignService::Metrics() const {
   m.deadline_partial_points = deadline_partial_points_;
   m.queue_depth = queued_;
   m.peak_queue_depth = peak_queue_depth_;
-  m.cache_hits = cache_hits_;
-  m.cache_misses = cache_misses_;
   return m;
 }
 

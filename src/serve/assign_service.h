@@ -19,8 +19,9 @@
 //     requests get kUnavailable; in-flight requests finish), Drain() waits
 //     for quiescence;
 //   * splits each request into batches of at most max_batch_points rows and
-//     scores them through the kernel-backed serve::AssignRows fast path with
-//     a per-thread reusable scratch (allocation-free steady state);
+//     scores them through the core insertion scorer (core::ScoreRows,
+//     core/assign.h) on the snapshot's model, with a per-thread reusable
+//     scratch (allocation-free steady state);
 //   * counts everything — requests, points, batches, rejected requests,
 //     scoring wall time, batch-size shape, publishes, snapshot age — into a
 //     ServeMetrics struct (fairkm_cli --serve-bench prints it).
@@ -35,10 +36,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "cluster/types.h"
 #include "common/status.h"
@@ -61,16 +60,6 @@ struct AssignServiceOptions {
   /// immediately with kUnavailable (bounded memory and bounded queueing
   /// delay instead of an unbounded pile-up).
   size_t max_queue_depth = 1024;
-  /// Entries in the preprocessed-request LRU cache: a request whose batch
-  /// hash (point bytes + sensitive values) matches a previous request scored
-  /// under the SAME snapshot version returns the cached assignment without
-  /// taking a scoring slot. 0 (the default) disables the cache entirely —
-  /// identical behavior to before the cache existed. The cache is cleared on
-  /// every Publish, and entries carry the snapshot version they were scored
-  /// under, so a republish can never serve a stale answer; publishers should
-  /// use monotonically increasing versions (every publish path in this repo
-  /// does).
-  size_t request_cache_capacity = 0;
 };
 
 /// \brief Per-request degradation knobs. Negative fields mean "unbounded".
@@ -116,10 +105,6 @@ struct ServeMetrics {
   uint64_t deadline_partial_points = 0;
   uint64_t queue_depth = 0;        ///< Requests waiting at the gate now.
   uint64_t peak_queue_depth = 0;   ///< Max queue depth observed.
-
-  // --- Request cache (request_cache_capacity > 0; both stay 0 otherwise).
-  uint64_t cache_hits = 0;    ///< Requests answered from the LRU cache.
-  uint64_t cache_misses = 0;  ///< Cache lookups that had to score.
 };
 
 /// \brief Bounded-concurrency assignment service over published snapshots.
@@ -137,7 +122,7 @@ class AssignService {
 
   /// \brief Scores one request against the current snapshot (fairness term
   /// included iff `sensitive` is non-null — same contract as
-  /// serve::AssignBatch). Queues while max_concurrency requests are already
+  /// core::AssignToModel). Queues while max_concurrency requests are already
   /// scoring; `request` bounds how long the call may queue
   /// (kUnavailable past queue_timeout_seconds or when the queue is full at
   /// arrival) and run (kDeadlineExceeded past deadline_seconds, checked
@@ -202,20 +187,6 @@ class AssignService {
   uint64_t deadline_exceeded_ = 0;
   uint64_t deadline_partial_points_ = 0;
   Clock::time_point publish_time_{};
-
-  // Preprocessed-request LRU cache (under mu_; empty when disabled). The
-  // list keeps most-recently-used entries at the front; the index maps the
-  // request-batch hash to its list node. Cleared on every Publish.
-  struct CacheEntry {
-    uint64_t key = 0;
-    uint64_t version = 0;  // Snapshot version the result was scored under.
-    cluster::Assignment result;
-  };
-  const size_t cache_capacity_;
-  std::list<CacheEntry> cache_lru_;
-  std::unordered_map<uint64_t, std::list<CacheEntry>::iterator> cache_index_;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
 };
 
 }  // namespace serve

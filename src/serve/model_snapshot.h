@@ -4,8 +4,9 @@
 // A training solver keeps sweeping (mutating its aggregates in place) while
 // serving threads assign out-of-sample points. Readers must never see a
 // half-updated model, so the tier freezes the solver's trained model into an
-// immutable ModelSnapshot (core::ModelExport: aligned centroids with cached
-// norms, cluster sizes, fairness moment tables, attribute structure) and
+// immutable ModelSnapshot (core::ModelExport, core/assign.h: aligned
+// centroids with cached norms, cluster sizes, fairness moment tables,
+// attribute structure — everything the core insertion scorer reads) and
 // publishes it through a std::shared_ptr that the AssignService swaps
 // atomically (std::atomic_load/atomic_store — C++17 has no
 // std::atomic<std::shared_ptr>). Every in-flight request holds a shared_ptr
@@ -43,15 +44,6 @@ class ModelSnapshot {
   size_t d() const { return model_.d; }
   size_t training_rows() const { return model_.num_rows; }
   double lambda() const { return model_.lambda; }
-
-  /// \brief True when at least one cluster is non-empty (Assign needs a
-  /// prototype to score against; an all-empty model can serve nothing).
-  bool has_candidates() const {
-    for (const size_t count : model_.counts) {
-      if (count > 0) return true;
-    }
-    return false;
-  }
 
  private:
   core::ModelExport model_;

@@ -13,12 +13,8 @@
 #include "cluster/zgya.h"
 #include "core/fairkm.h"
 #include "core/solver.h"
+#include "test_util.h"
 #include "testlib/worlds.h"
-
-// This suite is an intentional caller of the deprecated RunFairKM wrapper:
-// it is (part of) the oracle pinning the wrapper's bit-identical-to-solver
-// contract, so the deprecation warning is suppressed rather than ported away.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 
 namespace fairkm {
@@ -124,7 +120,8 @@ TEST(ClustererRegistryTest, FairKMViaRegistryMatchesRunFairKM) {
   direct.max_iterations = 10;
   Rng direct_rng(3);
   const core::FairKMResult via_direct =
-      core::RunFairKM(world.points, world.sensitive, direct, &direct_rng)
+      testutil::RunFairKMSession(world.points, world.sensitive, direct,
+                                 &direct_rng)
           .ValueOrDie();
   EXPECT_EQ(via_registry.assignment, via_direct.assignment);
   EXPECT_EQ(via_registry.lambda_used, via_direct.lambda_used);
@@ -202,7 +199,8 @@ TEST(ClustererRegistryTest, FairKMAdapterAttributeRestriction) {
       world.sensitive.SelectCategorical(attr_name).ValueOrDie();
   Rng direct_rng(6);
   const core::FairKMResult via_direct =
-      core::RunFairKM(world.points, single, options, &direct_rng).ValueOrDie();
+      testutil::RunFairKMSession(world.points, single, options, &direct_rng)
+          .ValueOrDie();
   EXPECT_EQ(via_adapter.assignment, via_direct.assignment);
 
   auto missing = core::MakeFairKMClusterer(options, "not-an-attribute");

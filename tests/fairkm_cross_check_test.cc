@@ -1,7 +1,7 @@
-// Cross-check: the incremental optimizer (RunFairKM) and the brute-force
-// reference (RunFairKMNaive) must walk the same objective trajectory on
-// seeded 3-blob worlds — same move decisions, same per-sweep objectives
-// within 1e-9, same final clustering.
+// Cross-check: the incremental optimizer (a FairKMSolver session) and the
+// brute-force reference (RunFairKMNaive) must walk the same objective
+// trajectory on seeded 3-blob worlds — same move decisions, same per-sweep
+// objectives within 1e-9, same final clustering.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +10,8 @@
 #include "core/fairkm.h"
 #include "core/fairkm_naive.h"
 #include "core/objective.h"
+#include "test_util.h"
 #include "testlib/worlds.h"
-
-// This suite is an intentional caller of the deprecated RunFairKM wrapper:
-// it is (part of) the oracle pinning the wrapper's bit-identical-to-solver
-// contract, so the deprecation warning is suppressed rather than ported away.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 
 namespace fairkm {
@@ -47,7 +43,7 @@ core::FairKMResult RunOptimizer(bool naive, const SeededWorld& world,
   Rng rng(seed);
   auto result = naive
                     ? core::RunFairKMNaive(world.points, world.sensitive, options, &rng)
-                    : core::RunFairKM(world.points, world.sensitive, options, &rng);
+                    : RunFairKMSession(world.points, world.sensitive, options, &rng);
   if (!result.ok()) {
     // Fail this test but keep the binary alive; the empty result makes the
     // caller's comparisons fail loudly too.
@@ -135,7 +131,7 @@ TEST(FairKMCrossCheck, ParallelSweepRequiresMinibatch) {
   options.sweep_mode = core::SweepMode::kParallelSnapshot;
   Rng rng(910);
   const auto result =
-      core::RunFairKM(world.points, world.sensitive, options, &rng);
+      RunFairKMSession(world.points, world.sensitive, options, &rng);
   EXPECT_FALSE(result.ok());
 }
 

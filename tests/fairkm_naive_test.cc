@@ -8,11 +8,6 @@
 #include "core/fairkm.h"
 #include "test_util.h"
 
-// This suite is an intentional caller of the deprecated RunFairKM wrapper:
-// it is (part of) the oracle pinning the wrapper's bit-identical-to-solver
-// contract, so the deprecation warning is suppressed rather than ported away.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 
 namespace fairkm {
 namespace core {
@@ -48,7 +43,7 @@ TEST_P(EquivalenceSweep, FastAndNaiveAgreeOnAssignmentsAndObjective) {
 
   Rng r_fast(1000 + GetParam());
   Rng r_naive(1000 + GetParam());
-  auto fast = RunFairKM(w.points, w.sensitive, opt, &r_fast).ValueOrDie();
+  auto fast = testutil::RunFairKMSession(w.points, w.sensitive, opt, &r_fast).ValueOrDie();
   auto naive = RunFairKMNaive(w.points, w.sensitive, opt, &r_naive).ValueOrDie();
 
   EXPECT_EQ(fast.assignment, naive.assignment);
@@ -67,7 +62,7 @@ TEST(NaiveFairKMTest, LambdaZeroEquivalenceHoldsToo) {
   opt.lambda = 0.0;
   opt.max_iterations = 10;
   Rng r1(7), r2(7);
-  auto fast = RunFairKM(w.points, w.sensitive, opt, &r1).ValueOrDie();
+  auto fast = testutil::RunFairKMSession(w.points, w.sensitive, opt, &r1).ValueOrDie();
   auto naive = RunFairKMNaive(w.points, w.sensitive, opt, &r2).ValueOrDie();
   EXPECT_EQ(fast.assignment, naive.assignment);
 }
@@ -81,7 +76,7 @@ TEST(NaiveFairKMTest, WeightingModesAgree) {
     opt.max_iterations = 8;
     opt.fairness.weighting = static_cast<ClusterWeighting>(mode);
     Rng r1(9), r2(9);
-    auto fast = RunFairKM(w.points, w.sensitive, opt, &r1).ValueOrDie();
+    auto fast = testutil::RunFairKMSession(w.points, w.sensitive, opt, &r1).ValueOrDie();
     auto naive = RunFairKMNaive(w.points, w.sensitive, opt, &r2).ValueOrDie();
     EXPECT_EQ(fast.assignment, naive.assignment) << "weighting mode " << mode;
   }
@@ -104,7 +99,7 @@ TEST(NaiveFairKMTest, NumericSensitiveAttributesAgree) {
   opt.lambda = 40.0;
   opt.max_iterations = 10;
   Rng r1(11), r2(11);
-  auto fast = RunFairKM(points, view, opt, &r1).ValueOrDie();
+  auto fast = testutil::RunFairKMSession(points, view, opt, &r1).ValueOrDie();
   auto naive = RunFairKMNaive(points, view, opt, &r2).ValueOrDie();
   EXPECT_EQ(fast.assignment, naive.assignment);
   EXPECT_NEAR(fast.fairness_term, naive.fairness_term, 1e-9);

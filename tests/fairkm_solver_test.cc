@@ -1,6 +1,6 @@
-// FairKMSolver session-API lifecycle tests: wrapper equivalence, stepwise
-// sweeps, checkpoint-resume and warm-start bit-identity (all SweepModes x
-// pruning settings), cooperative cancellation consistency, budgets, and the
+// FairKMSolver session-API lifecycle tests: stepwise sweeps,
+// checkpoint-resume and warm-start bit-identity (all SweepModes x pruning
+// settings), cooperative cancellation consistency, budgets, and the
 // out-of-sample Assign() path cross-checked against brute force.
 
 #include "core/solver.h"
@@ -16,11 +16,6 @@
 #include "core/fairkm.h"
 #include "testlib/brute_force.h"
 #include "testlib/worlds.h"
-
-// This suite is an intentional caller of the deprecated RunFairKM wrapper:
-// it is (part of) the oracle pinning the wrapper's bit-identical-to-solver
-// contract, so the deprecation warning is suppressed rather than ported away.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 
 namespace fairkm {
@@ -82,26 +77,6 @@ void ExpectSameTrajectory(const FairKMResult& a, const FairKMResult& b,
   EXPECT_EQ(a.converged, b.converged);
   EXPECT_EQ(a.total_candidates, b.total_candidates);
   EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
-}
-
-TEST(FairKMSolverTest, WrapperAndLifecycleAreBitIdentical) {
-  for (const ModeParam& mode : kModes) {
-    const SeededWorld world = MakeSeededWorld(71);
-    const FairKMOptions options = OptionsFor(mode);
-
-    Rng wrapper_rng(5);
-    const FairKMResult via_wrapper =
-        RunFairKM(world.points, world.sensitive, options, &wrapper_rng)
-            .ValueOrDie();
-
-    FairKMSolver solver = MakeSolver(world, options);
-    Rng solver_rng(5);
-    ASSERT_TRUE(solver.Init(&solver_rng).ok());
-    ASSERT_TRUE(solver.Run().ok());
-    const FairKMResult via_solver = solver.CurrentResult().ValueOrDie();
-
-    ExpectSameTrajectory(via_wrapper, via_solver, mode.name);
-  }
 }
 
 TEST(FairKMSolverTest, StepwiseSweepMatchesRun) {
@@ -490,6 +465,22 @@ TEST(FairKMSolverTest, AssignValidatesInputs) {
   EXPECT_FALSE(ragged_trainer.Init(uint64_t{1}).ok());
 }
 
+// Fractions that do not form a distribution (here: the zeros of a view that
+// carried only its codes) are refused at the training boundary —
+// FairKMState::Create, which Init reaches — instead of silently pricing
+// every fairness delta against them.
+TEST(FairKMSolverTest, TrainingRejectsFractionsThatAreNotADistribution) {
+  const SeededWorld world = MakeSeededWorld(86);
+  data::SensitiveView zeros = world.sensitive;
+  for (auto& attr : zeros.categorical) {
+    attr.dataset_fractions.assign(attr.dataset_fractions.size(), 0.0);
+  }
+  FairKMSolver solver =
+      FairKMSolver::Create(&world.points, &zeros, OptionsFor(kModes[0]))
+          .ValueOrDie();
+  EXPECT_EQ(solver.Init(uint64_t{1}).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(FairKMSolverTest, NonFiniteInputsAreRejectedAtEveryBoundary) {
   const SeededWorld world = MakeSeededWorld(85);
   const FairKMOptions options = OptionsFor(kModes[0]);
@@ -563,7 +554,7 @@ TEST(FairKMSolverTest, LifecycleGuardsAndCheckpointValidation) {
     EXPECT_FALSE(pruning_off.Restore(checkpoint).ok());
   }
 
-  // Create-level validation mirrors RunFairKM.
+  // Create-level validation of the options.
   FairKMOptions bad = options;
   bad.k = 0;
   EXPECT_FALSE(FairKMSolver::Create(&world.points, &world.sensitive, bad).ok());

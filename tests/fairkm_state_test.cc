@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "core/objective.h"
 #include "test_util.h"
@@ -166,6 +168,51 @@ TEST(FairKMStateTest, MovesKeepAggregatesConsistent) {
     for (size_t c = 0; c < expected.cols(); ++c) {
       EXPECT_NEAR(actual.At(r, c), expected.At(r, c), 1e-9);
     }
+  }
+}
+
+// The online growth hooks keep every fairness moment in step with the
+// counts: within one admit or retire batch (the view's fractions held at
+// their batch-start values until RefreshDatasetStats), the O(k |S|) cached
+// fairness term must equal the scratch evaluation after every single hook.
+TEST(FairKMStateTest, GrowthHooksKeepCachedFairnessTermExact) {
+  World w = MakeWorld(19, 3, 60, 3, true);
+  auto store = std::make_shared<data::PointStore>(w.points);
+  auto state = FairKMState::Create(std::shared_ptr<const data::PointStore>(store),
+                                   &w.sensitive, w.k, w.assignment, {})
+                   .ValueOrDie();
+  const auto expect_exact = [&state](const char* hook, int step) {
+    const double scratch = state.FairnessTerm();
+    EXPECT_NEAR(state.FairnessTermCached(), scratch, 1e-12 * std::fabs(scratch))
+        << "after " << hook << " " << step;
+  };
+  Rng rng(23);
+  for (int t = 0; t < 24; ++t) {
+    std::vector<double> row(w.points.cols());
+    for (double& x : row) x = rng.Normal(0, 2.0);
+    ASSERT_TRUE(store->AppendRow(row.data(), row.size()).ok());
+    for (auto& attr : w.sensitive.categorical) {
+      attr.codes.push_back(static_cast<int32_t>(
+          rng.UniformInt(static_cast<uint64_t>(attr.cardinality))));
+    }
+    w.sensitive.numeric[0].values.push_back(rng.Normal(10, 4));
+    ASSERT_TRUE(
+        state.AdmitAppended(static_cast<int>(rng.UniformInt(uint64_t{3}))).ok());
+    expect_exact("AdmitAppended", t);
+  }
+  for (int t = 0; t < 24; ++t) {
+    const size_t r = static_cast<size_t>(rng.UniformInt(state.num_rows()));
+    const size_t last = state.num_rows() - 1;
+    ASSERT_TRUE(state.RetireSwapped(r).ok());
+    ASSERT_TRUE(store->SwapRemoveRow(r).ok());
+    for (auto& attr : w.sensitive.categorical) {
+      attr.codes[r] = attr.codes[last];
+      attr.codes.pop_back();
+    }
+    auto& values = w.sensitive.numeric[0].values;
+    values[r] = values[last];
+    values.pop_back();
+    expect_exact("RetireSwapped", t);
   }
 }
 

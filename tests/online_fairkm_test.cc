@@ -21,6 +21,7 @@
 #include "core/fairkm_state.h"
 #include "serve/assign_service.h"
 #include "test_util.h"
+#include "testlib/brute_force.h"
 #include "testlib/worlds.h"
 
 namespace fairkm {
@@ -249,6 +250,82 @@ TEST_P(OnlineOracleTest, OracleHoldsAfterForcedResweep) {
   ExpectOracleEquality(engine.get());
 }
 
+// Live admit pricing: every row of one 64-row batch lands exactly where a
+// from-scratch evaluation puts it given the live rows so far — the initial
+// survivors plus the batch's earlier rows, in their admitted clusters —
+// and the dataset fractions/means in force for the batch.
+TEST_P(OnlineOracleTest, AdmitBatchPlacesEveryRowLikeBruteForce) {
+  const EngineConfig cfg = GetParam();
+  const SeededWorld world = MakeSeededWorld(211);
+  OnlineOptions options = MakeOptions(world, cfg);
+  // A weight at which the fairness delta decides most placements between
+  // these well-separated blobs, so mispriced moments move rows.
+  options.solver.lambda = 1e5;
+  auto created =
+      OnlineFairKM::Create(world.points, world.sensitive, options, /*seed=*/8);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<OnlineFairKM> engine = std::move(created).ValueOrDie();
+
+  // A first admit/retire batch moves the fractions off the training ones.
+  Rng rng(89);
+  const size_t dim = world.points.cols();
+  {
+    const data::Matrix pts = MakeBlobs(1, 6, static_cast<int>(dim), &rng);
+    const data::SensitiveView sv = MakeAdmitView(world.sensitive, 6, &rng);
+    ASSERT_TRUE(engine->Admit(pts, &sv).ok());
+    const std::vector<uint64_t> live = engine->LiveIds();
+    ASSERT_TRUE(engine->Retire({live[1], live[5], live[40]}).ok());
+  }
+
+  data::Matrix live_points = engine->SurvivingPoints();
+  data::SensitiveView live_view = engine->SurvivingSensitive();
+  cluster::Assignment live_assignment = engine->CurrentAssignment();
+  const size_t n0 = live_points.rows();
+  const double lambda = engine->solver().lambda();
+  const int k = engine->solver().k();
+
+  constexpr size_t kBatch = 64;
+  const data::Matrix batch =
+      MakeBlobs(2, static_cast<int>(kBatch / 2), static_cast<int>(dim), &rng);
+  const data::SensitiveView batch_view =
+      MakeAdmitView(world.sensitive, kBatch, &rng);
+  ASSERT_TRUE(engine->Admit(batch, &batch_view).ok());
+  const cluster::Assignment placed = engine->CurrentAssignment();
+  ASSERT_EQ(placed.size(), n0 + kBatch);
+  ASSERT_EQ(engine->Stats().resweeps, 0u);
+
+  for (size_t i = 0; i < kBatch; ++i) {
+    data::Matrix row(1, dim);
+    for (size_t j = 0; j < dim; ++j) row.At(0, j) = batch.At(i, j);
+    data::SensitiveView row_view = batch_view;
+    for (auto& attr : row_view.categorical) {
+      attr.codes = {attr.codes[i]};
+    }
+    for (auto& attr : row_view.numeric) attr.values = {attr.values[i]};
+    const cluster::Assignment expected = testutil::BruteForceAssign(
+        live_points, live_view, live_assignment, k, lambda, row, &row_view);
+    ASSERT_EQ(placed[n0 + i], expected[0]) << "batch row " << i;
+
+    // Row i joins the live set where the engine put it.
+    data::Matrix grown(live_points.rows() + 1, dim);
+    for (size_t r = 0; r < live_points.rows(); ++r) {
+      for (size_t j = 0; j < dim; ++j) grown.At(r, j) = live_points.At(r, j);
+    }
+    for (size_t j = 0; j < dim; ++j) {
+      grown.At(live_points.rows(), j) = batch.At(i, j);
+    }
+    live_points = std::move(grown);
+    for (size_t a = 0; a < live_view.categorical.size(); ++a) {
+      live_view.categorical[a].codes.push_back(
+          batch_view.categorical[a].codes[i]);
+    }
+    for (size_t a = 0; a < live_view.numeric.size(); ++a) {
+      live_view.numeric[a].values.push_back(batch_view.numeric[a].values[i]);
+    }
+    live_assignment.push_back(placed[n0 + i]);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, OnlineOracleTest,
                          ::testing::ValuesIn(AllConfigs()),
                          [](const ::testing::TestParamInfo<EngineConfig>& info) {
@@ -431,6 +508,37 @@ TEST_F(OnlineRecoveryTest, MissingEngineFileIsAnError) {
   options.checkpoint_dir = (dir_ / "never_written").string();
   auto recovered = OnlineFairKM::Recover(options);
   EXPECT_FALSE(recovered.ok());
+}
+
+// Create trains on the distribution of its rows, derived the way Admit and
+// Retire derive it: a view that carries only the codes (zero fractions and
+// means) trains the same model, bit for bit, as the true view.
+TEST(OnlineValidation, CreateDerivesFractionsFromTheRows) {
+  const SeededWorld world = MakeSeededWorld(67);
+  OnlineOptions options;
+  options.solver.k = world.k;
+  options.solver.lambda = 60.0;
+  data::SensitiveView zeros = world.sensitive;
+  for (auto& attr : zeros.categorical) {
+    attr.dataset_fractions.assign(attr.dataset_fractions.size(), 0.0);
+  }
+  for (auto& attr : zeros.numeric) attr.dataset_mean = 0.0;
+
+  auto truth =
+      OnlineFairKM::Create(world.points, world.sensitive, options, /*seed=*/3);
+  auto sliced = OnlineFairKM::Create(world.points, zeros, options, /*seed=*/3);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+  const OnlineFairKM& a = *truth.ValueOrDie();
+  const OnlineFairKM& b = *sliced.ValueOrDie();
+  EXPECT_EQ(a.CurrentAssignment(), b.CurrentAssignment());
+  EXPECT_EQ(a.Stats().last_objective, b.Stats().last_objective);
+  EXPECT_EQ(a.Stats().baseline_per_point, b.Stats().baseline_per_point);
+  const data::SensitiveView derived = b.SurvivingSensitive();
+  for (size_t i = 0; i < derived.categorical.size(); ++i) {
+    EXPECT_EQ(derived.categorical[i].dataset_fractions,
+              world.sensitive.categorical[i].dataset_fractions);
+  }
 }
 
 TEST(OnlineValidation, AdmitRejectsBadBatchesWithoutStateChange) {

@@ -4,8 +4,6 @@
 //   * readers never observe a torn snapshot — every pinned generation is a
 //     complete immutable model, and per reader the observed generation
 //     numbers are monotonically non-decreasing;
-//   * the serve-side request cache (enabled here to put its locking under
-//     TSan too) never serves an answer across generations;
 //   * after quiesce, Flush() still satisfies the batch-rebuild oracle —
 //     the concurrent traffic corrupted nothing.
 
@@ -105,16 +103,14 @@ TEST(OnlineStress, ConcurrentAdmitRetireAssignAndResweep) {
   options.drift.regression_tolerance = 1e12;  // Re-sweeps are forced below.
   options.drift.resweep_max_sweeps = 1;
 
-  serve::AssignServiceOptions serve_options;
-  serve_options.request_cache_capacity = 8;  // Cache locking under TSan too.
-  serve::AssignService service(serve_options);
+  serve::AssignService service;
   auto created = OnlineFairKM::Create(world.points, world.sensitive, options,
                                       /*seed=*/17, &service);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   std::unique_ptr<OnlineFairKM> engine = std::move(created).ValueOrDie();
 
-  // Fixed probe request the readers score over and over (so cache hits and
-  // misses both happen while generations churn underneath).
+  // Fixed probe request the readers score over and over while generations
+  // churn underneath.
   Rng probe_rng(71);
   const size_t dim = world.points.cols();
   const data::Matrix probe =
@@ -174,8 +170,7 @@ TEST(OnlineStress, ConcurrentAdmitRetireAssignAndResweep) {
 
   // On a loaded host the writer can finish before a reader is first
   // scheduled: keep serving until the readers have demonstrably scored
-  // repeated requests against the final generation (repeats are what makes
-  // the cache-hit assertion below meaningful).
+  // repeated requests against the final generation.
   while (reader_failures.load() == 0 &&
          reader_requests.load() < static_cast<uint64_t>(4 * kReaders)) {
     std::this_thread::yield();
@@ -201,10 +196,6 @@ TEST(OnlineStress, ConcurrentAdmitRetireAssignAndResweep) {
   const serve::ServeMetrics metrics = service.Metrics();
   EXPECT_GT(metrics.requests, 0u);
   EXPECT_EQ(metrics.errors, 0u);
-  // The probe repeats, so the cache must have both hit (between publishes)
-  // and missed (after each invalidating publish).
-  EXPECT_GT(metrics.cache_hits, 0u);
-  EXPECT_GT(metrics.cache_misses, 0u);
 }
 
 }  // namespace

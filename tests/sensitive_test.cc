@@ -142,6 +142,41 @@ TEST(SensitiveViewTest, ValidateRejectsNonFiniteNumericValues) {
   EXPECT_EQ(bad_mean.Validate(rows).code(), StatusCode::kInvalidArgument);
 }
 
+// Every fairness price reads the categorical fractions, so a table that is
+// not a distribution (the zeros of a view that only carried the codes, a
+// NaN, a negative entry) is rejected, not trained on.
+TEST(SensitiveViewTest, ValidateRejectsFractionsThatAreNotADistribution) {
+  Dataset d = MakeSample();
+  const SensitiveView view = MakeSensitiveView(d, {"gender"}).ValueOrDie();
+  const size_t rows = view.num_rows();
+  ASSERT_TRUE(view.Validate(rows).ok());
+
+  SensitiveView zeros = view;
+  zeros.categorical[0].dataset_fractions.assign(
+      zeros.categorical[0].dataset_fractions.size(), 0.0);
+  EXPECT_EQ(zeros.Validate(rows).code(), StatusCode::kInvalidArgument);
+
+  SensitiveView nan_fraction = view;
+  nan_fraction.categorical[0].dataset_fractions[0] =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(nan_fraction.Validate(rows).code(), StatusCode::kInvalidArgument);
+
+  // Sums to 1, but with a negative entry.
+  SensitiveView negative = view;
+  ASSERT_EQ(negative.categorical[0].dataset_fractions.size(), 2u);
+  negative.categorical[0].dataset_fractions = {1.5, -0.5};
+  EXPECT_EQ(negative.Validate(rows).code(), StatusCode::kInvalidArgument);
+
+  SensitiveView off_by_more = view;
+  off_by_more.categorical[0].dataset_fractions[0] += 1e-6;
+  EXPECT_EQ(off_by_more.Validate(rows).code(), StatusCode::kInvalidArgument);
+
+  // A view without rows has no distribution to sum to 1.
+  SensitiveView no_rows = zeros;
+  no_rows.categorical[0].codes.clear();
+  EXPECT_TRUE(no_rows.Validate(0).ok());
+}
+
 }  // namespace
 }  // namespace data
 }  // namespace fairkm

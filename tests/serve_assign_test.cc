@@ -1,10 +1,11 @@
-// Serving-tier AssignBatch tests: the batched kernel path must pick
-// bit-identical clusters to the scalar FairKMSolver::Assign oracle in every
-// SweepMode x pruning x kernel-backend combination, and the snapshot /
-// validation edge cases (ragged views, empty models, zero-row requests,
-// scratch reuse) must behave exactly like the scalar path.
+// Insertion-scorer tests over published snapshots: the core kernel scorer
+// (core::AssignToModel, core/assign.h) must pick bit-identical clusters to
+// the testlib scalar oracle in every SweepMode x pruning x kernel-backend
+// combination, blind and fairness-aware, and the snapshot / validation edge
+// cases (ragged views, empty models, zero-row requests, scratch reuse) must
+// behave the same through FairKMSolver::Assign and the snapshot.
 
-#include "serve/assign_batch.h"
+#include "core/assign.h"
 
 #include <cstdint>
 #include <memory>
@@ -16,12 +17,15 @@
 #include "core/kernels/kernels.h"
 #include "core/solver.h"
 #include "serve/model_snapshot.h"
+#include "testlib/scalar_assign.h"
 #include "testlib/worlds.h"
 
 namespace fairkm {
 namespace serve {
 namespace {
 
+using core::AssignScratch;
+using core::AssignToModel;
 using core::FairKMOptions;
 using core::FairKMSolver;
 using core::SweepMode;
@@ -81,10 +85,20 @@ TrainedModel Train(const SeededWorld& world, const FairKMOptions& options,
   return model;
 }
 
-// The tentpole contract: for every sweep/pruning mode and both kernel
-// backends, AssignBatch returns the EXACT assignment vector of the scalar
-// solver path — blind and fairness-aware, on a lane-padded width (dim 5 ->
-// stride 8) so the padding lanes are exercised.
+// Scores `points` through the kernel scorer on the snapshot's model.
+cluster::Assignment Score(const ModelSnapshot& snapshot,
+                          const data::Matrix& points,
+                          const data::SensitiveView* sensitive = nullptr,
+                          AssignScratch* scratch = nullptr) {
+  return AssignToModel(snapshot.model(), points, sensitive, scratch)
+      .ValueOrDie();
+}
+
+// The scorer contract: for every sweep/pruning mode and both kernel
+// backends, the kernel scorer returns the EXACT assignment vector of the
+// scalar oracle — blind and fairness-aware, on a lane-padded width (dim 5 ->
+// stride 8) so the padding lanes are exercised — and FairKMSolver::Assign
+// is that same scorer.
 TEST(ServeAssignTest, BatchedMatchesScalarOracleAcrossModesAndBackends) {
   WorldSpec spec;
   spec.per_blob = 30;
@@ -99,25 +113,22 @@ TEST(ServeAssignTest, BatchedMatchesScalarOracleAcrossModesAndBackends) {
       const SeededWorld world = MakeSeededWorld(90, spec);
       const SeededWorld fresh = MakeSeededWorld(91, spec);
       TrainedModel model = Train(world, OptionsFor(mode), 33);
+      const core::ModelExport& m = model.snapshot->model();
 
-      const cluster::Assignment blind_scalar =
-          model.solver.Assign(fresh.points).ValueOrDie();
-      const cluster::Assignment blind_batched =
-          AssignBatch(*model.snapshot, fresh.points).ValueOrDie();
-      EXPECT_EQ(blind_batched, blind_scalar);
+      const cluster::Assignment blind = Score(*model.snapshot, fresh.points);
+      EXPECT_EQ(blind, testutil::ScalarAssign(m, fresh.points, nullptr));
+      EXPECT_EQ(blind, model.solver.Assign(fresh.points).ValueOrDie());
 
-      const cluster::Assignment fair_scalar =
-          model.solver.Assign(fresh.points, fresh.sensitive).ValueOrDie();
-      const cluster::Assignment fair_batched =
-          AssignBatch(*model.snapshot, fresh.points, &fresh.sensitive)
-              .ValueOrDie();
-      EXPECT_EQ(fair_batched, fair_scalar);
+      const cluster::Assignment fair =
+          Score(*model.snapshot, fresh.points, &fresh.sensitive);
+      EXPECT_EQ(fair,
+                testutil::ScalarAssign(m, fresh.points, &fresh.sensitive));
+      EXPECT_EQ(fair, model.solver.Assign(fresh.points, fresh.sensitive)
+                          .ValueOrDie());
 
       // Scoring the training rows themselves must agree too.
-      EXPECT_EQ(
-          AssignBatch(*model.snapshot, world.points, &world.sensitive)
-              .ValueOrDie(),
-          model.solver.Assign(world.points, world.sensitive).ValueOrDie());
+      EXPECT_EQ(Score(*model.snapshot, world.points, &world.sensitive),
+                testutil::ScalarAssign(m, world.points, &world.sensitive));
     }
   }
 }
@@ -132,20 +143,16 @@ TEST(ServeAssignTest, ScratchReuseAndBlockBoundariesAreStable) {
 
   AssignScratch scratch;
   const cluster::Assignment fair =
-      AssignBatch(*model.snapshot, fresh.points, &fresh.sensitive, &scratch)
-          .ValueOrDie();
-  EXPECT_EQ(fair, AssignBatch(*model.snapshot, fresh.points, &fresh.sensitive)
-                      .ValueOrDie());
+      Score(*model.snapshot, fresh.points, &fresh.sensitive, &scratch);
+  EXPECT_EQ(fair, Score(*model.snapshot, fresh.points, &fresh.sensitive));
   // A blind call reusing the (now warm) scratch: buffers shrink-to-fit is
   // never required, stale contents must not leak into the next request.
   const cluster::Assignment blind =
-      AssignBatch(*model.snapshot, world.points, nullptr, &scratch)
-          .ValueOrDie();
-  EXPECT_EQ(blind, AssignBatch(*model.snapshot, world.points).ValueOrDie());
+      Score(*model.snapshot, world.points, nullptr, &scratch);
+  EXPECT_EQ(blind, Score(*model.snapshot, world.points));
   // And the same fair request again through the reused scratch.
-  EXPECT_EQ(fair, AssignBatch(*model.snapshot, fresh.points, &fresh.sensitive,
-                              &scratch)
-                      .ValueOrDie());
+  EXPECT_EQ(fair,
+            Score(*model.snapshot, fresh.points, &fresh.sensitive, &scratch));
 }
 
 TEST(ServeAssignTest, ZeroRowRequestReturnsEmpty) {
@@ -153,53 +160,56 @@ TEST(ServeAssignTest, ZeroRowRequestReturnsEmpty) {
   TrainedModel model = Train(world, OptionsFor(kModes[0]), 11);
 
   const data::Matrix no_points(0, world.points.cols());
-  EXPECT_TRUE(AssignBatch(*model.snapshot, no_points).ValueOrDie().empty());
+  EXPECT_TRUE(Score(*model.snapshot, no_points).empty());
 
   // With a structurally matching zero-row sensitive view.
   data::SensitiveView no_rows = world.sensitive;
   for (auto& attr : no_rows.categorical) attr.codes.clear();
   for (auto& attr : no_rows.numeric) attr.values.clear();
-  EXPECT_TRUE(AssignBatch(*model.snapshot, no_points, &no_rows)
-                  .ValueOrDie()
-                  .empty());
+  EXPECT_TRUE(Score(*model.snapshot, no_points, &no_rows).empty());
 }
 
 TEST(ServeAssignTest, ValidationMirrorsScalarPath) {
   const SeededWorld world = MakeSeededWorld(95);
   TrainedModel model = Train(world, OptionsFor(kModes[0]), 13);
+  const auto assign = [&model](const data::Matrix& points,
+                               const data::SensitiveView* sensitive =
+                                   nullptr) {
+    return AssignToModel(model.snapshot->model(), points, sensitive);
+  };
 
   // Wrong feature width.
   const data::Matrix wrong_width(2, world.points.cols() + 1);
-  EXPECT_FALSE(AssignBatch(*model.snapshot, wrong_width).ok());
+  EXPECT_FALSE(assign(wrong_width).ok());
 
   // Attribute structure must mirror the trained view.
   data::SensitiveView missing_attrs;
-  EXPECT_FALSE(AssignBatch(*model.snapshot, world.points, &missing_attrs).ok());
+  EXPECT_FALSE(assign(world.points, &missing_attrs).ok());
 
   // Codes must stay within the TRAINED cardinality.
   data::SensitiveView bad_code = world.sensitive;
   bad_code.categorical[0].codes[0] =
       static_cast<int32_t>(bad_code.categorical[0].cardinality);
-  EXPECT_FALSE(AssignBatch(*model.snapshot, world.points, &bad_code).ok());
+  EXPECT_FALSE(assign(world.points, &bad_code).ok());
 
   // Ragged second categorical attribute (passes a first-attribute-only row
   // check): must be rejected before any indexing.
   data::SensitiveView ragged_cat = world.sensitive;
   ASSERT_GE(ragged_cat.categorical.size(), 2u);
   ragged_cat.categorical[1].codes.pop_back();
-  EXPECT_FALSE(AssignBatch(*model.snapshot, world.points, &ragged_cat).ok());
+  EXPECT_FALSE(assign(world.points, &ragged_cat).ok());
 
   // Ragged numeric attribute.
   data::SensitiveView ragged_num = world.sensitive;
   ASSERT_GE(ragged_num.numeric.size(), 1u);
   ragged_num.numeric[0].values.pop_back();
-  EXPECT_FALSE(AssignBatch(*model.snapshot, world.points, &ragged_num).ok());
+  EXPECT_FALSE(assign(world.points, &ragged_num).ok());
 }
 
 TEST(ServeAssignTest, AllClustersEmptyModelCannotServe) {
   // A zero-row training set yields a valid solver whose clusters are all
   // empty. Exporting works (counts all zero), but assigning a real point has
-  // no candidate cluster — an error, exactly like the scalar path.
+  // no candidate cluster — an error through the snapshot and the solver.
   const data::Matrix no_points(0, 4);
   data::SensitiveView no_view;  // Empty view: n rows trivially consistent.
   FairKMOptions options;
@@ -212,16 +222,15 @@ TEST(ServeAssignTest, AllClustersEmptyModelCannotServe) {
 
   const std::shared_ptr<const ModelSnapshot> snapshot =
       MakeModelSnapshot(solver).ValueOrDie();
-  EXPECT_FALSE(snapshot->has_candidates());
+  for (const size_t count : snapshot->model().counts) EXPECT_EQ(count, 0u);
 
   data::Matrix one_point(1, 4);
-  EXPECT_FALSE(AssignBatch(*snapshot, one_point).ok());
+  EXPECT_FALSE(AssignToModel(snapshot->model(), one_point).ok());
   EXPECT_FALSE(solver.Assign(one_point).ok());
 
-  // Zero rows in, zero rows out — even with no candidates (the scalar loop
-  // never runs; the batched path matches that ordering).
+  // Zero rows in, zero rows out — even with no candidates.
   const data::Matrix empty_request(0, 4);
-  EXPECT_TRUE(AssignBatch(*snapshot, empty_request).ValueOrDie().empty());
+  EXPECT_TRUE(Score(*snapshot, empty_request).empty());
   EXPECT_TRUE(solver.Assign(empty_request).ValueOrDie().empty());
 }
 
@@ -258,9 +267,7 @@ TEST(ServeAssignTest, SnapshotIsSelfContainedAndVersioned) {
   ASSERT_TRUE(solver.SetLambda(solver.lambda() * 4.0).ok());
   ASSERT_TRUE(solver.Init(uint64_t{22}).ok());
   ASSERT_TRUE(solver.Run().ok());
-  EXPECT_EQ(AssignBatch(*snapshot, fresh.points, &fresh.sensitive)
-                .ValueOrDie(),
-            at_export);
+  EXPECT_EQ(Score(*snapshot, fresh.points, &fresh.sensitive), at_export);
 }
 
 }  // namespace

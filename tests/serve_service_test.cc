@@ -1,6 +1,6 @@
 // AssignService tests: snapshot publish/swap semantics, per-request
 // batching + metrics accounting, the bounded-concurrency admission gate,
-// and — the reason the TSan CI job runs this suite — concurrent AssignBatch
+// and — the reason the TSan CI job runs this suite — concurrent Assign
 // requests racing an actively training solver that publishes snapshots from
 // its progress callback.
 
@@ -14,8 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/assign.h"
 #include "core/solver.h"
-#include "serve/assign_batch.h"
 #include "serve/model_snapshot.h"
 #include "testlib/worlds.h"
 
@@ -84,7 +84,8 @@ TEST(ServeServiceTest, MatchesDirectAssignBatchAndCountsBatches) {
   const cluster::Assignment via_service =
       service.Assign(fresh.points, &fresh.sensitive).ValueOrDie();
   EXPECT_EQ(via_service,
-            AssignBatch(*snapshot, fresh.points, &fresh.sensitive)
+            core::AssignToModel(snapshot->model(), fresh.points,
+                                &fresh.sensitive)
                 .ValueOrDie());
   EXPECT_EQ(via_service, solver.Assign(fresh.points, fresh.sensitive)
                              .ValueOrDie());
@@ -229,90 +230,6 @@ TEST(ServeServiceTest, ConcurrentAssignDuringActiveRun) {
   // service result matches the scalar oracle on it.
   EXPECT_EQ(service.Assign(fresh.points, &fresh.sensitive).ValueOrDie(),
             solver.Assign(fresh.points, fresh.sensitive).ValueOrDie());
-}
-
-TEST(ServeServiceTest, RequestCacheHitsMissesAndPublishInvalidation) {
-  const SeededWorld world = MakeSeededWorld(106);
-  const SeededWorld fresh = MakeSeededWorld(107);
-  FairKMSolver solver = TrainSolver(world, BaseOptions(), 29);
-
-  AssignServiceOptions options;
-  options.request_cache_capacity = 4;
-  AssignService service(options);
-  service.Publish(MakeModelSnapshot(solver, /*version=*/1).ValueOrDie());
-
-  // First request scores (miss), the identical repeat is answered from the
-  // cache — byte-identical result, no extra scored points or batches.
-  const cluster::Assignment scored =
-      service.Assign(fresh.points, &fresh.sensitive).ValueOrDie();
-  ServeMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.cache_misses, 1u);
-  EXPECT_EQ(metrics.cache_hits, 0u);
-  const uint64_t scored_points = metrics.points;
-  const uint64_t scored_batches = metrics.batches;
-
-  const cluster::Assignment cached =
-      service.Assign(fresh.points, &fresh.sensitive).ValueOrDie();
-  EXPECT_EQ(cached, scored);
-  metrics = service.Metrics();
-  EXPECT_EQ(metrics.cache_hits, 1u);
-  EXPECT_EQ(metrics.cache_misses, 1u);
-  EXPECT_EQ(metrics.requests, 2u);
-  EXPECT_EQ(metrics.points, scored_points);    // The hit scored nothing.
-  EXPECT_EQ(metrics.batches, scored_batches);
-
-  // A different batch is its own key.
-  const cluster::Assignment other =
-      service.Assign(world.points, &world.sensitive).ValueOrDie();
-  EXPECT_EQ(other, solver.Assign(world.points, world.sensitive).ValueOrDie());
-  metrics = service.Metrics();
-  EXPECT_EQ(metrics.cache_hits, 1u);
-  EXPECT_EQ(metrics.cache_misses, 2u);
-
-  // Publish invalidates: the same request must re-score under the new
-  // generation (an entry may never outlive the snapshot it answered for).
-  service.Publish(MakeModelSnapshot(solver, /*version=*/2).ValueOrDie());
-  const cluster::Assignment rescored =
-      service.Assign(fresh.points, &fresh.sensitive).ValueOrDie();
-  EXPECT_EQ(rescored, scored);  // Same model state, so same answer...
-  metrics = service.Metrics();
-  EXPECT_EQ(metrics.cache_hits, 1u);    // ...but NOT from the cache.
-  EXPECT_EQ(metrics.cache_misses, 3u);
-  EXPECT_GT(metrics.points, scored_points);
-}
-
-TEST(ServeServiceTest, RequestCacheEvictsLeastRecentlyUsed) {
-  const SeededWorld world = MakeSeededWorld(108);
-  FairKMSolver solver = TrainSolver(world, BaseOptions(), 31);
-
-  AssignServiceOptions options;
-  options.request_cache_capacity = 1;  // Room for exactly one entry.
-  AssignService service(options);
-  service.Publish(MakeModelSnapshot(solver, /*version=*/1).ValueOrDie());
-
-  const SeededWorld a = MakeSeededWorld(109);
-  const SeededWorld b = MakeSeededWorld(110);
-  ASSERT_TRUE(service.Assign(a.points, &a.sensitive).ok());  // miss, cache A
-  ASSERT_TRUE(service.Assign(b.points, &b.sensitive).ok());  // miss, evict A
-  ASSERT_TRUE(service.Assign(a.points, &a.sensitive).ok());  // miss again
-  ASSERT_TRUE(service.Assign(a.points, &a.sensitive).ok());  // hit
-  const ServeMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.cache_misses, 3u);
-  EXPECT_EQ(metrics.cache_hits, 1u);
-}
-
-TEST(ServeServiceTest, DisabledRequestCacheKeepsIdenticalBehavior) {
-  const SeededWorld world = MakeSeededWorld(111);
-  FairKMSolver solver = TrainSolver(world, BaseOptions(), 37);
-  AssignService service;  // request_cache_capacity defaults to 0.
-  service.Publish(MakeModelSnapshot(solver).ValueOrDie());
-  const cluster::Assignment first =
-      service.Assign(world.points, &world.sensitive).ValueOrDie();
-  EXPECT_EQ(first, service.Assign(world.points, &world.sensitive).ValueOrDie());
-  const ServeMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.cache_hits, 0u);
-  EXPECT_EQ(metrics.cache_misses, 0u);
-  EXPECT_EQ(metrics.points, 2 * world.points.rows());  // Both scored.
 }
 
 }  // namespace

@@ -43,13 +43,14 @@
 #      session API's warm path) must show >= MIN_REUSE_SPEEDUP (default
 #      1.03; ~1.1x measured — trajectories are bit-identical, the gate
 #      asserts the amortized construction actually pays).
-#   6. Batched serving: BM_Assign_Scalar (per-point FairKMSolver::Assign)
-#      vs BM_Assign_Batched (serve::AssignBatch over a frozen ModelSnapshot,
-#      expanded-form distances on the aligned GEMV kernels) must show
+#   6. Batched serving: BM_Assign_Scalar (the tests/testlib scalar oracle,
+#      naive per-candidate distance loop) vs BM_Assign_Batched (the core
+#      insertion scorer, core::AssignToModel: expanded-form distances on
+#      the aligned GEMV kernels), both over one exported model, must show
 #      >= MIN_ASSIGN_SPEEDUP (default 1.7; ~1.9-2.1x measured depending
 #      on host — the gate asserts batching pays, not a specific margin, so
 #      the floor leaves headroom for slower containers). Bit-identical
-#      (tests/serve_assign_test.cc); only the scoring path differs.
+#      (tests/serve_assign_test.cc); only the scoring loop differs.
 #   7. Sharded-sweep overhead: BM_FairKM_SnapshotSweep_Sharded (mmap store +
 #      core::ShardedSweep eviction) vs BM_FairKM_SnapshotSweep_InProcess
 #      (matrix-backed solver, same options and seed, bit-identical
@@ -214,8 +215,8 @@ jq -e --argjson min "$MIN_REUSE_SPEEDUP" '
      else error("solver-reuse speedup \($speedup) below required \($min)x") end)
 ' "$OUT"
 
-# Gate 6: the batched serving path must beat the per-point scalar Assign by
-# a real margin — same model, same points, bit-identical assignments; the
+# Gate 6: the kernel insertion scorer must beat the per-point scalar oracle
+# by a real margin — same model, same points, bit-identical assignments; the
 # difference is the aligned GEMV + expanded-form distance scoring.
 jq -e --argjson min "$MIN_ASSIGN_SPEEDUP" '
   (.benchmarks[] | select(.name == "BM_Assign_Scalar") | .real_time) as $scalar

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (configure, build, full ctest), an explicit
-# fault-injection/durability gate, then an ASan/UBSan build of the
+# fault-injection/durability gate, the supervisor and online drift gates,
+# the end-to-end benchmark's smoke test, then an ASan/UBSan build of the
 # unit+integration suites and a TSan build of the suites that exercise the
 # parallel sweep, the thread pool and the serving tier.
 #
 #   tools/check.sh            # everything
-#   tools/check.sh --fast     # tier-1 only, skip the sanitizer passes
+#   tools/check.sh --fast     # skip the sanitizer passes
 #
 # Knobs: BUILD_DIR (default build), SAN_BUILD_DIR (default build-asan),
 # TSAN_BUILD_DIR (default build-tsan), JOBS (default nproc).
@@ -80,6 +81,12 @@ echo "$ONLINE_OUT" | grep -q 'online: resweeps = 1,' \
   || { echo "online gate: expected exactly one drift re-sweep" >&2; exit 1; }
 echo "$ONLINE_OUT" | grep -q 'online: oracle = ok' \
   || { echo "online gate: flushed state diverged from rebuild" >&2; exit 1; }
+
+# The end-to-end benchmark builds its own Release copy of the libraries and
+# calls their public API: every workload at tiny sizes must still build,
+# pass its answer checks and report every metric BENCHMARK.json names.
+echo "== e2e_bench: smoke test of every workload =="
+python3 e2e_bench/smoke_test.py
 
 if [[ "$FAST" == "1" ]]; then
   echo "== skipping sanitizer pass (--fast) =="

@@ -238,9 +238,9 @@ data::SensitiveView SliceView(const data::SensitiveView& view, size_t begin,
     a.weight = attr.weight;
     a.codes.assign(attr.codes.begin() + static_cast<ptrdiff_t>(begin),
                    attr.codes.begin() + static_cast<ptrdiff_t>(begin + count));
-    // Dataset-level fractions are n-dependent; the engine re-derives them
-    // over the live population after every membership change, so the slice
-    // only has to carry the structure and the codes.
+    // Dataset-level fractions are n-dependent; the engine derives them from
+    // its live rows at Create and after every membership change, so the
+    // slice only has to carry the structure and the codes.
     a.dataset_fractions.assign(static_cast<size_t>(attr.cardinality), 0.0);
     out.categorical.push_back(std::move(a));
   }
