@@ -10,7 +10,8 @@
 //     evaluations the gate rejected),
 //   * fast incremental deltas vs naive full-objective recomputation,
 //   * FairKM vs K-Means vs ZGYA (hard and soft) at a fixed size,
-//   * single move-delta evaluation cost.
+//   * single move-delta evaluation cost,
+//   * the silhouette evaluation: scalar per-probe loop vs the kernel path.
 
 #include <benchmark/benchmark.h>
 
@@ -31,10 +32,13 @@
 #include "core/kernels/kernels.h"
 #include "core/sharded_sweep.h"
 #include "core/solver.h"
+#include "data/adult_generator.h"
 #include "data/point_store.h"
 #include "data/preprocess.h"
+#include "metrics/quality.h"
 #include "online/online_fairkm.h"
 #include "testlib/scalar_assign.h"
+#include "testlib/scalar_silhouette.h"
 
 namespace {
 
@@ -290,6 +294,55 @@ void BM_Assign_Batched(benchmark::State& state) {
       seconds > 0.0 ? static_cast<double>(points) / seconds : 0.0;
 }
 BENCHMARK(BM_Assign_Batched)->Unit(benchmark::kMillisecond);
+
+// Silhouette pair on the fairkm_cli / adult-batch shape: a 50k-row Adult
+// matrix (8 min-max-scaled task attributes), a k = 8 K-Means assignment and
+// default SilhouetteOptions (2000 sampled probes against every row).
+// _Scalar times the testlib oracle (the single-threaded per-probe loop);
+// _Dispatch times metrics::SilhouetteScore (ProbeDistanceSums on the
+// dispatch-selected backend, probe groups across threads). The scores are
+// bit-identical (tests/quality_test.cc); tools/bench_json.sh gates
+// Scalar/Dispatch >= MIN_SILHOUETTE_SPEEDUP on real time.
+struct SilhouetteWorldData {
+  data::Matrix points;
+  cluster::Assignment assignment;
+};
+
+const SilhouetteWorldData& SilhouetteWorld() {
+  static const SilhouetteWorldData* cached = [] {
+    auto* world = new SilhouetteWorldData;
+    data::AdultOptions adult;
+    adult.num_rows = 50000;
+    const data::Dataset dataset = data::GenerateAdult(adult).ValueOrDie();
+    world->points = dataset.ToMatrix(data::AdultTaskNames()).ValueOrDie();
+    data::MinMaxNormalize(&world->points);
+    cluster::KMeansOptions options;
+    options.k = 8;
+    Rng rng(5);
+    world->assignment =
+        cluster::RunKMeans(world->points, options, &rng).ValueOrDie().assignment;
+    return world;
+  }();
+  return *cached;
+}
+
+void BM_Silhouette_Scalar(benchmark::State& state) {
+  const SilhouetteWorldData& world = SilhouetteWorld();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        testutil::ScalarSilhouette(world.points, world.assignment, 8));
+  }
+}
+BENCHMARK(BM_Silhouette_Scalar)->Unit(benchmark::kMillisecond);
+
+void BM_Silhouette_Dispatch(benchmark::State& state) {
+  const SilhouetteWorldData& world = SilhouetteWorld();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        metrics::SilhouetteScore(world.points, world.assignment, 8));
+  }
+}
+BENCHMARK(BM_Silhouette_Dispatch)->Unit(benchmark::kMillisecond);
 
 void BM_FairKM_DatasetSize(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -6,6 +6,8 @@
 //     distance in DeltaKMeans,
 //   * the per-(attribute, cluster) fairness moments sum_s u_s^2 and
 //     sum_s u_s q_s (u_s = |C_s| - |C| q_s) recomputed on every Move.
+// The evaluation side adds one more: the silhouette's per-probe, per-cluster
+// sums of Euclidean distances over every row (ProbeDistanceSums).
 //
 // Each primitive exists in a scalar reference backend (plain loops, compiled
 // for the baseline ISA) and, on x86-64 hosts whose compiler supports it, an
@@ -27,6 +29,9 @@
 //     FMA contraction (the kernel TUs build with -ffp-contract=off), so the
 //     fairness aggregates — and therefore the optimizer trajectory of the
 //     fairness term — do not depend on the dispatched backend.
+//   * ProbeDistanceSums is BIT-FOR-BIT identical across backends and equal
+//     to a plain per-probe loop: each SIMD lane replays one probe's scalar
+//     operation sequence, so the silhouette does not depend on the backend.
 
 #ifndef FAIRKM_CORE_KERNELS_KERNELS_H_
 #define FAIRKM_CORE_KERNELS_KERNELS_H_
@@ -37,6 +42,9 @@
 namespace fairkm {
 namespace core {
 namespace kernels {
+
+/// \brief Probe rows per ProbeDistanceSums call (two AVX2 vectors of lanes).
+inline constexpr size_t kProbeLanes = 8;
 
 /// \brief One kernel implementation set. All pointers are non-null.
 struct Backend {
@@ -86,6 +94,20 @@ struct Backend {
                          double scale_rem_after, double scale_ins_after,
                          double* rem, double* ins, double* rem_min,
                          double* ins_min);
+
+  /// Silhouette distance sums (metrics/quality.h) for a group of
+  /// `lanes` <= kProbeLanes probes of the row-major `rows` x `cols` matrix
+  /// `points`; lane l is row probes[l]. For every row i in order and every
+  /// lane l, takes d = sqrt(sum_j (p_l[j] - x_i[j])^2), summed over j in
+  /// order with a separate multiply and add and a correctly rounded sqrt,
+  /// zeroes it when i == probes[l], and adds it to
+  /// sums[labels[i] * kProbeLanes + l]. On sums that start at +0.0, each
+  /// lane's sums therefore come from the same IEEE operations as a scalar
+  /// loop over the rows that skips the probe itself, bit for bit in both
+  /// backends. Entries of lanes >= `lanes` are unspecified.
+  void (*ProbeDistanceSums)(const double* points, size_t rows, size_t cols,
+                            const int32_t* labels, const size_t* probes,
+                            size_t lanes, double* sums);
 };
 
 /// \brief The portable reference backend (always available).
@@ -141,6 +163,13 @@ inline void CatDeltaBounds(const int64_t* counts, const double* fractions,
   ActiveBackend().CatDeltaBounds(counts, fractions, m, size, u2, uq, q2,
                                  scale_before, scale_rem_after,
                                  scale_ins_after, rem, ins, rem_min, ins_min);
+}
+
+inline void ProbeDistanceSums(const double* points, size_t rows, size_t cols,
+                              const int32_t* labels, const size_t* probes,
+                              size_t lanes, double* sums) {
+  ActiveBackend().ProbeDistanceSums(points, rows, cols, labels, probes, lanes,
+                                    sums);
 }
 
 }  // namespace kernels

@@ -6,7 +6,8 @@
 // Dot/Gemv use multi-accumulator FMA loops (reassociated relative to the
 // scalar backend; callers tolerate 1e-9). CatMoments deliberately avoids FMA
 // and mirrors the scalar backend's 4-lane blocked accumulation and reduction
-// tree exactly, so the fairness moments are bit-for-bit backend-independent.
+// tree exactly, so the fairness moments are bit-for-bit backend-independent;
+// ProbeDistanceSums likewise replays the scalar sequence in every lane.
 
 #include "core/kernels/kernels.h"
 
@@ -15,6 +16,7 @@
 #include <immintrin.h>
 
 #include <limits>
+#include <vector>
 
 namespace fairkm {
 namespace core {
@@ -201,9 +203,80 @@ void CatDeltaBoundsAvx2(const int64_t* counts, const double* fractions,
   *ins_min = m == 0 ? 0.0 : imin;
 }
 
+// Silhouette distance sums with one lane per probe: the probes are
+// transposed into a cols x 8 block so that lane l of a row's two
+// accumulators replays ProbeDistanceSumsScalar's j-ordered sub/mul/add for
+// probe l, then vsqrtpd (correctly rounded, like std::sqrt). The self lane
+// is masked to +0.0, as in the scalar backend. Padding lanes repeat probe 0.
+void ProbeDistanceSumsAvx2(const double* points, size_t rows, size_t cols,
+                           const int32_t* labels, const size_t* probes,
+                           size_t lanes, double* sums) {
+  std::vector<double> block(cols * kProbeLanes);
+  alignas(32) int64_t index[kProbeLanes];
+  for (size_t l = 0; l < kProbeLanes; ++l) {
+    const size_t probe = probes[l < lanes ? l : 0];
+    index[l] = l < lanes ? static_cast<int64_t>(probe) : -1;
+    for (size_t j = 0; j < cols; ++j) {
+      block[j * kProbeLanes + l] = points[probe * cols + j];
+    }
+  }
+  const __m256i index_lo =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(index));
+  const __m256i index_hi =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(index + 4));
+  // Adds row i's lane distances (sqrt of its squared sums, self lanes
+  // zeroed) into its cluster's sums.
+  const auto add_row = [&](size_t i, __m256d sq_lo, __m256d sq_hi) {
+    const __m256i row = _mm256_set1_epi64x(static_cast<int64_t>(i));
+    const __m256d self_lo =
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(index_lo, row));
+    const __m256d self_hi =
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(index_hi, row));
+    double* s = sums + static_cast<size_t>(labels[i]) * kProbeLanes;
+    _mm256_storeu_pd(s, _mm256_add_pd(_mm256_loadu_pd(s),
+                                      _mm256_andnot_pd(self_lo,
+                                                       _mm256_sqrt_pd(sq_lo))));
+    _mm256_storeu_pd(s + 4,
+                     _mm256_add_pd(_mm256_loadu_pd(s + 4),
+                                   _mm256_andnot_pd(self_hi,
+                                                    _mm256_sqrt_pd(sq_hi))));
+  };
+  // Two rows per pass share every load of the probe block and keep four
+  // independent add chains in flight; each chain is still one lane's
+  // j-ordered sum, and row i's sums are updated before row i + 1's. An odd
+  // last row pairs with itself and is added once.
+  for (size_t i = 0; i < rows; i += 2) {
+    const bool pair = i + 1 < rows;
+    const double* x0 = points + i * cols;
+    const double* x1 = pair ? x0 + cols : x0;
+    const double* p = block.data();
+    __m256d sq0_lo = _mm256_setzero_pd();
+    __m256d sq0_hi = _mm256_setzero_pd();
+    __m256d sq1_lo = _mm256_setzero_pd();
+    __m256d sq1_hi = _mm256_setzero_pd();
+    for (size_t j = 0; j < cols; ++j, p += kProbeLanes) {
+      const __m256d p_lo = _mm256_loadu_pd(p);
+      const __m256d p_hi = _mm256_loadu_pd(p + 4);
+      const __m256d x0j = _mm256_broadcast_sd(x0 + j);
+      const __m256d x1j = _mm256_broadcast_sd(x1 + j);
+      const __m256d d0_lo = _mm256_sub_pd(p_lo, x0j);
+      const __m256d d0_hi = _mm256_sub_pd(p_hi, x0j);
+      const __m256d d1_lo = _mm256_sub_pd(p_lo, x1j);
+      const __m256d d1_hi = _mm256_sub_pd(p_hi, x1j);
+      sq0_lo = _mm256_add_pd(sq0_lo, _mm256_mul_pd(d0_lo, d0_lo));
+      sq0_hi = _mm256_add_pd(sq0_hi, _mm256_mul_pd(d0_hi, d0_hi));
+      sq1_lo = _mm256_add_pd(sq1_lo, _mm256_mul_pd(d1_lo, d1_lo));
+      sq1_hi = _mm256_add_pd(sq1_hi, _mm256_mul_pd(d1_hi, d1_hi));
+    }
+    add_row(i, sq0_lo, sq0_hi);
+    if (pair) add_row(i + 1, sq1_lo, sq1_hi);
+  }
+}
+
 const Backend kAvx2Backend = {"avx2-fma",      DotAvx2,
                               GemvAvx2,        GemvAlignedAvx2,
-                              CatMomentsAvx2,  CatDeltaBoundsAvx2};
+                              CatMomentsAvx2,  CatDeltaBoundsAvx2,
+                              ProbeDistanceSumsAvx2};
 
 }  // namespace
 

@@ -5,6 +5,8 @@
 
 #include "core/kernels/kernels.h"
 
+#include <cmath>
+
 namespace fairkm {
 namespace core {
 namespace kernels {
@@ -87,9 +89,32 @@ void CatDeltaBoundsScalar(const int64_t* counts, const double* fractions,
   *ins_min = imin;
 }
 
-const Backend kScalarBackend = {"scalar",         DotScalar,
-                                GemvScalar,       GemvAlignedScalar,
-                                CatMomentsScalar, CatDeltaBoundsScalar};
+// Silhouette distance sums, one probe (lane) at a time per row: the j-ordered
+// squared distance, sqrt, and the per-cluster add that the AVX2 backend runs
+// for eight lanes at once. The probe's own row adds +0.0, as the masked
+// vector lane does; on sums that start at +0.0 that equals skipping the row.
+void ProbeDistanceSumsScalar(const double* points, size_t rows, size_t cols,
+                             const int32_t* labels, const size_t* probes,
+                             size_t lanes, double* sums) {
+  for (size_t i = 0; i < rows; ++i) {
+    const double* x = points + i * cols;
+    double* row_sums = sums + static_cast<size_t>(labels[i]) * kProbeLanes;
+    for (size_t l = 0; l < lanes; ++l) {
+      const double* p = points + probes[l] * cols;
+      double dist = 0.0;
+      for (size_t j = 0; j < cols; ++j) {
+        const double diff = p[j] - x[j];
+        dist += diff * diff;
+      }
+      row_sums[l] += probes[l] == i ? 0.0 : std::sqrt(dist);
+    }
+  }
+}
+
+const Backend kScalarBackend = {"scalar",          DotScalar,
+                                GemvScalar,        GemvAlignedScalar,
+                                CatMomentsScalar,  CatDeltaBoundsScalar,
+                                ProbeDistanceSumsScalar};
 
 }  // namespace
 

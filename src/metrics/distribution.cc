@@ -66,9 +66,14 @@ data::Matrix ClusterDistributions(const data::CategoricalSensitive& attr,
 }
 
 double EmpiricalWasserstein1(std::vector<double> a, std::vector<double> b) {
-  if (a.empty() || b.empty()) return 0.0;
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
+  return SortedEmpiricalWasserstein1(a, b);
+}
+
+double SortedEmpiricalWasserstein1(const std::vector<double>& a,
+                                   const std::vector<double>& b) {
+  if (a.empty() || b.empty()) return 0.0;
   // Integrate |F_a(x) - F_b(x)| between consecutive points of the merged
   // sample.
   size_t ia = 0, ib = 0;

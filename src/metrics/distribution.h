@@ -38,8 +38,15 @@ data::Matrix ClusterDistributions(const data::CategoricalSensitive& attr,
 
 /// \brief Exact 1-Wasserstein distance between two 1-D empirical samples
 /// (integral of |F_a - F_b| over the merged support). Used by the numeric-
-/// sensitive-attribute fairness extension.
+/// sensitive-attribute fairness extension. Sorts copies of both samples, then
+/// runs SortedEmpiricalWasserstein1.
 double EmpiricalWasserstein1(std::vector<double> a, std::vector<double> b);
+
+/// \brief EmpiricalWasserstein1 on samples already sorted ascending: the
+/// merge walk alone, so a caller comparing many samples against one
+/// reference sorts the reference once.
+double SortedEmpiricalWasserstein1(const std::vector<double>& a,
+                                   const std::vector<double>& b);
 
 }  // namespace metrics
 }  // namespace fairkm

@@ -49,6 +49,9 @@ AttributeFairness EvaluateNumericAttributeFairness(const data::NumericSensitive&
   AttributeFairness out;
   out.attribute = attr.name;
   const auto groups = cluster::GroupByCluster(assignment, k);
+  // The dataset side of every cluster's Wasserstein distance: sorted once.
+  std::vector<double> dataset = attr.values;
+  std::sort(dataset.begin(), dataset.end());
   double weighted_e = 0.0, weighted_w = 0.0;
   size_t total = 0;
   for (const auto& members : groups) {
@@ -57,7 +60,8 @@ AttributeFairness EvaluateNumericAttributeFairness(const data::NumericSensitive&
     values.reserve(members.size());
     for (size_t i : members) values.push_back(attr.values[i]);
     const double e = std::fabs(Mean(values) - attr.dataset_mean);
-    const double w = EmpiricalWasserstein1(values, attr.values);
+    std::sort(values.begin(), values.end());
+    const double w = SortedEmpiricalWasserstein1(values, dataset);
     weighted_e += static_cast<double>(members.size()) * e;
     weighted_w += static_cast<double>(members.size()) * w;
     total += members.size();

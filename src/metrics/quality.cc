@@ -4,52 +4,72 @@
 #include <cmath>
 #include <limits>
 
+#include "common/thread_pool.h"
+#include "core/kernels/kernels.h"
 #include "metrics/hungarian.h"
 
 namespace fairkm {
 namespace metrics {
 namespace {
 
-// Mean silhouette of the given probe points, each evaluated against every row.
+// Silhouette of one probe from its per-cluster distance sums (one lane of a
+// kernels::ProbeDistanceSums table, stride kProbeLanes).
+double ProbeSilhouette(const double* dist_sum, size_t own,
+                       const std::vector<size_t>& sizes) {
+  constexpr size_t kStride = core::kernels::kProbeLanes;
+  const double a =
+      dist_sum[own * kStride] / static_cast<double>(sizes[own] - 1);
+  double b = std::numeric_limits<double>::infinity();
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    if (c == own || sizes[c] == 0) continue;
+    b = std::min(b, dist_sum[c * kStride] / static_cast<double>(sizes[c]));
+  }
+  // Single non-empty cluster: silhouette undefined; count as 0.
+  if (!std::isfinite(b)) return 0.0;
+  const double denom = std::max(a, b);
+  return denom > 0.0 ? (b - a) / denom : 0.0;
+}
+
+// Mean silhouette of the given probe points, each evaluated against every
+// row. Probes in singleton clusters score 0 (sklearn convention); the rest
+// go through the kernel in groups of kProbeLanes, the groups spread over
+// threads. Each probe's score lands in its own slot and the slots are summed
+// in probe order, so the result depends on neither the thread count nor the
+// kernel backend.
 double SilhouetteOverProbes(const data::Matrix& points,
                             const cluster::Assignment& assignment, int k,
                             const std::vector<size_t>& probes) {
+  constexpr size_t kLanes = core::kernels::kProbeLanes;
   const std::vector<size_t> sizes = cluster::ClusterSizes(assignment, k);
-  double total = 0.0;
-  size_t counted = 0;
-  std::vector<double> dist_sum(static_cast<size_t>(k));
-  for (size_t p : probes) {
-    const size_t own = static_cast<size_t>(assignment[p]);
-    if (sizes[own] <= 1) {
-      // Singleton: silhouette defined as 0.
-      ++counted;
-      continue;
+  std::vector<size_t> scored;  // Indices into `probes`.
+  for (size_t q = 0; q < probes.size(); ++q) {
+    if (sizes[static_cast<size_t>(assignment[probes[q]])] > 1) {
+      scored.push_back(q);
     }
-    std::fill(dist_sum.begin(), dist_sum.end(), 0.0);
-    for (size_t i = 0; i < points.rows(); ++i) {
-      if (i == p) continue;
-      const double d = std::sqrt(
-          data::SquaredDistance(points.Row(p), points.Row(i), points.cols()));
-      dist_sum[static_cast<size_t>(assignment[i])] += d;
-    }
-    const double a =
-        dist_sum[own] / static_cast<double>(sizes[own] - 1);
-    double b = std::numeric_limits<double>::infinity();
-    for (int c = 0; c < k; ++c) {
-      const size_t cc = static_cast<size_t>(c);
-      if (cc == own || sizes[cc] == 0) continue;
-      b = std::min(b, dist_sum[cc] / static_cast<double>(sizes[cc]));
-    }
-    if (!std::isfinite(b)) {
-      // Single non-empty cluster: silhouette undefined; count as 0.
-      ++counted;
-      continue;
-    }
-    const double denom = std::max(a, b);
-    total += denom > 0.0 ? (b - a) / denom : 0.0;
-    ++counted;
   }
-  return counted > 0 ? total / static_cast<double>(counted) : 0.0;
+  std::vector<double> score(probes.size(), 0.0);
+  const size_t groups = (scored.size() + kLanes - 1) / kLanes;
+  ParallelFor(groups, ThreadPool::DefaultThreadCount(), [&](size_t g) {
+    const size_t first = g * kLanes;
+    const size_t lanes = std::min(kLanes, scored.size() - first);
+    size_t probe_rows[kLanes];
+    for (size_t l = 0; l < lanes; ++l) {
+      probe_rows[l] = probes[scored[first + l]];
+    }
+    std::vector<double> dist_sum(static_cast<size_t>(k) * kLanes, 0.0);
+    core::kernels::ProbeDistanceSums(points.Row(0), points.rows(),
+                                     points.cols(), assignment.data(),
+                                     probe_rows, lanes, dist_sum.data());
+    for (size_t l = 0; l < lanes; ++l) {
+      score[scored[first + l]] = ProbeSilhouette(
+          dist_sum.data() + l, static_cast<size_t>(assignment[probe_rows[l]]),
+          sizes);
+    }
+  });
+  // Singletons add an exact +0.0, which leaves the running total unchanged.
+  double total = 0.0;
+  for (double s : score) total += s;
+  return probes.empty() ? 0.0 : total / static_cast<double>(probes.size());
 }
 
 }  // namespace

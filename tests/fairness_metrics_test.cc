@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "common/stats.h"
+#include "metrics/distribution.h"
 #include "test_util.h"
 
 namespace fairkm {
@@ -84,6 +88,52 @@ TEST(NumericFairnessTest, MeanShiftReflectedInAeAndMax) {
   EXPECT_NEAR(f.ae, 5.0, 1e-12);
   EXPECT_NEAR(f.me, 5.0, 1e-12);
   EXPECT_NEAR(f.aw, 5.0, 1e-12);  // Point masses at 0 and 10 vs 50/50 mix.
+}
+
+// The report sorts the dataset's values once per attribute and walks each
+// sorted cluster against it; that must give exactly what one
+// EmpiricalWasserstein1 call per cluster gives. Values come from a small
+// grid (heavy ties, signed zeros included) and cluster 3 stays empty.
+TEST(NumericFairnessTest, SortedOnceMatchesPerClusterWassersteinWithTies) {
+  Rng rng(23);
+  const size_t n = 600;
+  const int k = 5;
+  std::vector<double> values(n);
+  Assignment assignment(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double v = 0.5 * static_cast<double>(rng.UniformInt(uint64_t{9}));
+    values[i] = (v == 0.0 && i % 2 == 1) ? -0.0 : v;
+    int32_t c = static_cast<int32_t>(rng.UniformInt(uint64_t{4}));
+    if (c == 3) c = 4;
+    assignment[i] = c;
+  }
+  const data::NumericSensitive attr = testutil::MakeNumeric(values, "tied");
+
+  AttributeFairness want;
+  double weighted_e = 0.0, weighted_w = 0.0;
+  size_t total = 0;
+  for (const auto& members : cluster::GroupByCluster(assignment, k)) {
+    if (members.empty()) continue;
+    std::vector<double> cluster_values;
+    for (size_t i : members) cluster_values.push_back(attr.values[i]);
+    const double e = std::fabs(Mean(cluster_values) - attr.dataset_mean);
+    const double w = EmpiricalWasserstein1(cluster_values, attr.values);
+    weighted_e += static_cast<double>(members.size()) * e;
+    weighted_w += static_cast<double>(members.size()) * w;
+    total += members.size();
+    want.me = std::max(want.me, e);
+    want.mw = std::max(want.mw, w);
+  }
+  want.ae = weighted_e / static_cast<double>(total);
+  want.aw = weighted_w / static_cast<double>(total);
+
+  const AttributeFairness got =
+      EvaluateNumericAttributeFairness(attr, assignment, k);
+  EXPECT_EQ(got.ae, want.ae);
+  EXPECT_EQ(got.aw, want.aw);
+  EXPECT_EQ(got.me, want.me);
+  EXPECT_EQ(got.mw, want.mw);
+  EXPECT_GT(got.aw, 0.0);
 }
 
 TEST(EvaluateFairnessTest, MeanAcrossAttributes) {

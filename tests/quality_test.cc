@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "cluster/kmeans.h"
+#include "core/kernels/kernels.h"
+#include "data/adult_generator.h"
+#include "data/preprocess.h"
 #include "test_util.h"
+#include "testlib/scalar_silhouette.h"
 
 namespace fairkm {
 namespace metrics {
@@ -75,6 +80,126 @@ TEST(SilhouetteTest, SampledApproximatesExact) {
   const double se = SilhouetteScore(pts, r.assignment, 4, exact);
   const double ss = SilhouetteScore(pts, r.assignment, 4, sampled);
   EXPECT_NEAR(se, ss, 0.1);
+}
+
+// SilhouetteScore runs the ProbeDistanceSums kernel over probe groups on
+// several threads; it must equal the single-threaded scalar loop
+// (testlib's ScalarSilhouette) exactly, under every backend the host runs.
+void ExpectMatchesOracle(const data::Matrix& pts, const Assignment& assignment,
+                         int k, const SilhouetteOptions& options = {}) {
+  const double want = testutil::ScalarSilhouette(pts, assignment, k, options);
+  std::vector<const core::kernels::Backend*> backends = {
+      &core::kernels::ScalarBackend()};
+  if (const auto* avx2 = core::kernels::Avx2Backend()) backends.push_back(avx2);
+  for (const core::kernels::Backend* backend : backends) {
+    SCOPED_TRACE(backend->name);
+    core::kernels::SetActiveBackend(backend);
+    EXPECT_EQ(SilhouetteScore(pts, assignment, k, options), want);
+  }
+  core::kernels::SetActiveBackend(nullptr);
+}
+
+Assignment RandomAssignment(size_t n, int k, Rng* rng) {
+  Assignment assignment(n);
+  for (auto& a : assignment) {
+    a = static_cast<int32_t>(rng->UniformInt(static_cast<uint64_t>(k)));
+  }
+  return assignment;
+}
+
+Assignment KMeansAssignment(const data::Matrix& pts, int k, uint64_t seed) {
+  cluster::KMeansOptions opt;
+  opt.k = k;
+  opt.max_iterations = 10;
+  Rng rng(seed);
+  return cluster::RunKMeans(pts, opt, &rng).ValueOrDie().assignment;
+}
+
+TEST(SilhouetteOracleTest, ExactPathMatchesScalarLoop) {
+  Rng rng(31);
+  const data::Matrix pts = testutil::MakeBlobs(4, 60, 3, &rng, /*spread=*/1.2);
+  ExpectMatchesOracle(pts, KMeansAssignment(pts, 4, 32), 4);
+}
+
+TEST(SilhouetteOracleTest, SampledPathMatchesScalarLoop) {
+  Rng rng(33);
+  const data::Matrix pts = testutil::MakeBlobs(5, 300, 5, &rng, /*spread=*/2.0);
+  const Assignment assignment = KMeansAssignment(pts, 5, 34);
+  for (size_t sample : {1, 8, 203, 1499}) {
+    SCOPED_TRACE(sample);
+    SilhouetteOptions options;
+    options.max_exact_rows = 100;
+    options.sample_size = sample;
+    options.seed = 35 + sample;
+    ExpectMatchesOracle(pts, assignment, 5, options);
+  }
+}
+
+// Every remainder of the probe count modulo the 8 kernel lanes.
+TEST(SilhouetteOracleTest, ProbeCountsOffTheLaneWidth) {
+  Rng rng(37);
+  for (size_t n = 1; n <= 33; ++n) {
+    SCOPED_TRACE(n);
+    data::Matrix pts(n, 3);
+    for (double& v : pts.data()) v = rng.UniformDouble(-5.0, 5.0);
+    ExpectMatchesOracle(pts, RandomAssignment(n, 3, &rng), 3);
+  }
+}
+
+TEST(SilhouetteOracleTest, SingletonsAndEmptyClusters) {
+  Rng rng(39);
+  const data::Matrix pts = testutil::MakeBlobs(3, 25, 4, &rng);
+  Assignment assignment = RandomAssignment(pts.rows(), 2, &rng);
+  assignment[7] = 2;   // Singleton.
+  assignment[40] = 4;  // Singleton; clusters 3 and 5 stay empty.
+  ExpectMatchesOracle(pts, assignment, 6);
+}
+
+TEST(SilhouetteOracleTest, OneNonEmptyClusterIsZero) {
+  Rng rng(41);
+  const data::Matrix pts = testutil::MakeBlobs(2, 20, 2, &rng);
+  ExpectMatchesOracle(pts, Assignment(pts.rows(), 0), 1);
+  ExpectMatchesOracle(pts, Assignment(pts.rows(), 1), 3);
+  EXPECT_EQ(SilhouetteScore(pts, Assignment(pts.rows(), 0), 1), 0.0);
+}
+
+TEST(SilhouetteOracleTest, DuplicateRows) {
+  Rng rng(43);
+  const data::Matrix distinct = testutil::MakeBlobs(2, 5, 3, &rng);
+  data::Matrix pts(distinct.rows() * 7, 3);
+  for (size_t i = 0; i < pts.rows(); ++i) {
+    for (size_t j = 0; j < 3; ++j) {
+      pts.At(i, j) = distinct.At(i % distinct.rows(), j);
+    }
+  }
+  ExpectMatchesOracle(pts, RandomAssignment(pts.rows(), 3, &rng), 3);
+  ExpectMatchesOracle(pts, KMeansAssignment(pts, 2, 44), 2);
+}
+
+// Coordinates near 1e8 with unit-scale spread: every difference cancels
+// most of its significand, so any reordering of the arithmetic shows.
+TEST(SilhouetteOracleTest, HugeOffsets) {
+  Rng rng(45);
+  data::Matrix pts = testutil::MakeBlobs(3, 40, 4, &rng);
+  for (size_t i = 0; i < pts.rows(); ++i) {
+    for (size_t j = 0; j < pts.cols(); ++j) {
+      pts.At(i, j) += (j % 2 == 0 ? 1e8 : -3e7) + rng.UniformDouble(0.0, 1e-3);
+    }
+  }
+  ExpectMatchesOracle(pts, KMeansAssignment(pts, 3, 46), 3);
+  ExpectMatchesOracle(pts, RandomAssignment(pts.rows(), 4, &rng), 4);
+}
+
+// The shape fairkm_cli and the adult-batch benchmark score: 50k Adult rows,
+// the 8 min-max-scaled task attributes, k = 8, default options (2000
+// sampled probes).
+TEST(SilhouetteOracleTest, Adult50kDefaultOptions) {
+  data::AdultOptions adult;
+  adult.num_rows = 50000;
+  const data::Dataset dataset = data::GenerateAdult(adult).ValueOrDie();
+  data::Matrix pts = dataset.ToMatrix(data::AdultTaskNames()).ValueOrDie();
+  data::MinMaxNormalize(&pts);
+  ExpectMatchesOracle(pts, KMeansAssignment(pts, 8, 47), 8);
 }
 
 TEST(CentroidDeviationTest, IdenticalCentroidsZero) {

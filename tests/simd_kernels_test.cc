@@ -245,6 +245,49 @@ TEST(SimdKernelsTest, CatMomentsBitForBitAcrossBackends) {
   }
 }
 
+// ProbeDistanceSums contract: every used lane's per-cluster sums bit-for-bit
+// identical across backends, for dims 1..33, 1..8 lanes (probe rows drawn
+// with repeats, so a row can be two lanes' probe), unaligned matrix bases,
+// and sums that already hold values (the kernel adds).
+TEST(SimdKernelsTest, ProbeDistanceSumsBitForBitAcrossBackends) {
+  constexpr size_t kRows = 37;
+  constexpr int kK = 3;
+  Rng rng(2026);
+  for (const Backend* backend : AvailableBackends()) {
+    SCOPED_TRACE(backend->name);
+    for (size_t cols = 1; cols <= 33; ++cols) {
+      for (size_t lanes = 1; lanes <= kProbeLanes; ++lanes) {
+        const size_t offset = (cols + lanes) % 4;
+        std::vector<double> buffer(offset + kRows * cols);
+        FillRandom(&rng, buffer.data(), buffer.size());
+        const double* points = buffer.data() + offset;
+        std::vector<int32_t> labels(kRows);
+        for (auto& label : labels) {
+          label = static_cast<int32_t>(rng.UniformInt(uint64_t{kK}));
+        }
+        size_t probes[kProbeLanes];
+        for (size_t l = 0; l < lanes; ++l) {
+          probes[l] = static_cast<size_t>(rng.UniformInt(uint64_t{kRows}));
+        }
+        std::vector<double> want(kK * kProbeLanes);
+        FillRandom(&rng, want.data(), want.size());
+        for (double& v : want) v = std::fabs(v);
+        std::vector<double> got = want;
+        ScalarBackend().ProbeDistanceSums(points, kRows, cols, labels.data(),
+                                          probes, lanes, want.data());
+        backend->ProbeDistanceSums(points, kRows, cols, labels.data(), probes,
+                                   lanes, got.data());
+        for (int c = 0; c < kK; ++c) {
+          const size_t base = static_cast<size_t>(c) * kProbeLanes;
+          EXPECT_EQ(std::memcmp(got.data() + base, want.data() + base,
+                                lanes * sizeof(double)), 0)
+              << "cols=" << cols << " lanes=" << lanes << " cluster=" << c;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelsTest, CatMomentsMatchesDirectExpansion) {
   Rng rng(5);
   for (size_t m = 1; m <= 17; ++m) {

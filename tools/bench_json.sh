@@ -69,6 +69,14 @@
 #      drift response: canonical flush + one budgeted sweep + republish) is
 #      recorded for trend tracking but not gated — its cost is O(n) by
 #      design.
+#   9. Silhouette: BM_Silhouette_Scalar (the tests/testlib scalar oracle,
+#      the single-threaded per-probe loop) vs BM_Silhouette_Dispatch
+#      (metrics::SilhouetteScore: the ProbeDistanceSums kernel on the
+#      dispatch-selected backend, probe groups across threads), both on a
+#      50k x 8 Adult matrix with k = 8 and default options, must show
+#      >= MIN_SILHOUETTE_SPEEDUP (default 3.0) on real time. The AVX2 kernel
+#      clears that on one thread, so the gate holds on small runners; the
+#      scores are bit-identical (tests/quality_test.cc).
 # The BM_ActiveKernelBackend_<name> marker entry records which backend the
 # runtime dispatch picked for this host/run.
 #
@@ -78,7 +86,7 @@
 # MIN_PRUNE_SPEEDUP (default 2.0), MIN_PRUNED_FRACTION (default 0.5),
 # MIN_REUSE_SPEEDUP (default 1.03), MIN_ASSIGN_SPEEDUP (default 1.7),
 # MAX_SHARDED_OVERHEAD (default 1.15),
-# MIN_ADMIT_POINTS_PER_SEC (default 2000),
+# MIN_ADMIT_POINTS_PER_SEC (default 2000), MIN_SILHOUETTE_SPEEDUP (default 3.0),
 # SHARDED_ROWS (unset: carry the existing sharded_scaling curve forward;
 # set to e.g. "1000000,10000000" to re-measure it with tools/sharded_scaling),
 # SKIP_BUILD=1 to use an existing binary as-is (gate 0 still applies).
@@ -89,7 +97,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-bench}
 OUT=${OUT:-BENCH_scaling.json}
-FILTER=${FILTER:-'Assign_|SweepCandidates|FairKM_AllAttributes|FairKM_MiniBatch|FairKM_MultiSeed|FairKM_ParallelSweep|FairKM_SnapshotSweep|FairKM_Sweep|MoveDeltaEvaluation|KernelGemv|KernelCatMoments|ActiveKernelBackend|BuildConfig|Online_'}
+FILTER=${FILTER:-'Assign_|SweepCandidates|FairKM_AllAttributes|FairKM_MiniBatch|FairKM_MultiSeed|FairKM_ParallelSweep|FairKM_SnapshotSweep|FairKM_Sweep|MoveDeltaEvaluation|KernelGemv|KernelCatMoments|ActiveKernelBackend|BuildConfig|Online_|Silhouette_Scalar|Silhouette_Dispatch'}
 MIN_TIME=${MIN_TIME:-0.2}
 MIN_SPEEDUP=${MIN_SPEEDUP:-2.0}
 MIN_SIMD_RATIO=${MIN_SIMD_RATIO:-0.9}
@@ -99,6 +107,7 @@ MIN_REUSE_SPEEDUP=${MIN_REUSE_SPEEDUP:-1.03}
 MIN_ASSIGN_SPEEDUP=${MIN_ASSIGN_SPEEDUP:-1.7}
 MAX_SHARDED_OVERHEAD=${MAX_SHARDED_OVERHEAD:-1.15}
 MIN_ADMIT_POINTS_PER_SEC=${MIN_ADMIT_POINTS_PER_SEC:-2000}
+MIN_SILHOUETTE_SPEEDUP=${MIN_SILHOUETTE_SPEEDUP:-3.0}
 BENCH="$BUILD_DIR/bench/bench_scaling"
 
 if [[ "${SKIP_BUILD:-0}" != "1" ]]; then
@@ -254,6 +263,18 @@ jq -e --argjson min "$MIN_ADMIT_POINTS_PER_SEC" '
   | "online admit throughput: \($pps | round) points/s (drift re-sweep \($resweep * 100 | round / 100) ms/cycle)",
     (if $pps >= $min then "OK: >= \($min) points/s"
      else error("online admit throughput \($pps) below required \($min) points/s") end)
+' "$OUT"
+
+# Gate 9: the silhouette through the kernel backend and threads must beat
+# the single-threaded scalar loop it replaced — same matrix, same probes,
+# bit-identical score.
+jq -e --argjson min "$MIN_SILHOUETTE_SPEEDUP" '
+  (.benchmarks[] | select(.name == "BM_Silhouette_Scalar") | .real_time) as $scalar
+  | (.benchmarks[] | select(.name == "BM_Silhouette_Dispatch") | .real_time) as $dispatch
+  | ($scalar / $dispatch) as $speedup
+  | "silhouette speedup (50k x 8 Adult, 2000 probes): \($speedup * 100 | round / 100)x (scalar \($scalar) vs dispatch \($dispatch))",
+    (if $speedup >= $min then "OK: >= \($min)x"
+     else error("silhouette speedup \($speedup) below required \($min)x") end)
 ' "$OUT"
 
 echo "wrote $OUT"

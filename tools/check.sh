@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify (configure, build, full ctest), an explicit
-# fault-injection/durability gate, the supervisor and online drift gates,
+# CI entry point: tier-1 verify (configure, build, full ctest), the install
+# check, an explicit fault-injection/durability gate, the supervisor and online drift gates,
 # the end-to-end benchmark's smoke test, then an ASan/UBSan build of the
 # unit+integration suites and a TSan build of the suites that exercise the
-# parallel sweep, the thread pool and the serving tier.
+# parallel sweep, the thread pool, the serving tier, the online engine and
+# the multi-threaded silhouette.
 #
 #   tools/check.sh            # everything
 #   tools/check.sh --fast     # skip the sanitizer passes
@@ -34,6 +35,9 @@ echo "== tier-1: configure + build + ctest (${BUILD_DIR}) =="
 cmake -B "$BUILD_DIR" -S . -DFAIRKM_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+echo "== install: every layer exported and installed =="
+tools/check_install.sh "$BUILD_DIR" "$BUILD_DIR/install_check"
 
 # Explicit gate over the fault-injection/durability surface: the corruption,
 # torn-write and degraded-serve suites plus the CLI smoke (which includes an
@@ -102,7 +106,7 @@ cmake -B "$SAN_BUILD_DIR" -S . \
 cmake --build "$SAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -j "$JOBS" -L 'unit|integration'
 
-echo "== sanitizers: TSan parallel-sweep + thread-pool suites (${TSAN_BUILD_DIR}) =="
+echo "== sanitizers: TSan parallel-sweep, thread-pool, serving, online + silhouette suites (${TSAN_BUILD_DIR}) =="
 cmake -B "$TSAN_BUILD_DIR" -S . \
   -DFAIRKM_SANITIZE_THREAD=ON \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -110,6 +114,6 @@ cmake -B "$TSAN_BUILD_DIR" -S . \
   -DFAIRKM_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'FairKMParallel|ThreadPool|FairKMCrossCheck.ParallelSnapshot|StressScaling.Optimizer|Pruning|FairKMSolver|Serve|RetryPolicy|Online'
+  -R 'FairKMParallel|ThreadPool|FairKMCrossCheck.ParallelSnapshot|StressScaling.Optimizer|Pruning|FairKMSolver|Serve|RetryPolicy|Online|Silhouette'
 
 echo "== all checks passed =="
