@@ -644,25 +644,8 @@ void BackendMarkerLoop(benchmark::State& state) {
 #endif
     BackendMarkerLoop);
 
-void BM_FairKM_ParallelSweep(benchmark::State& state) {
-  const auto& data = AdultSlice(2000);
-  core::FairKMOptions options;
-  options.k = 5;
-  options.lambda = data.paper_lambda;
-  options.minibatch_size = 256;
-  options.sweep_mode = core::SweepMode::kParallelSnapshot;
-  options.num_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Rng rng(42);
-    auto result = RunSession(data.features, data.sensitive, options, &rng);
-    benchmark::DoNotOptimize(result.ok());
-  }
-}
-BENCHMARK(BM_FairKM_ParallelSweep)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-
-// Out-of-core pair (n = 20000, d = 32, k = 8, 2 workers): _InProcess runs
-// the snapshot sweep over the in-memory point store; _Sharded runs the SAME
+// Out-of-core pair (n = 20000, d = 32, k = 8): _InProcess runs the serial
+// mini-batch sweep over the in-memory point store; _Sharded runs the SAME
 // options through core::ShardedSweep over an mmap-backed store file, with
 // each shard evicted from the page cache as the sweep passes it.
 // Trajectories are bit-identical (tests/sharded_sweep_test.cc); what this
@@ -678,8 +661,6 @@ core::FairKMOptions ShardedBenchOptions() {
   options.lambda = core::SuggestLambda(kShardedN, options.k);
   options.max_iterations = 3;
   options.minibatch_size = 1024;
-  options.sweep_mode = core::SweepMode::kParallelSnapshot;
-  options.num_threads = 2;
   return options;
 }
 

@@ -144,7 +144,11 @@ std::string EncodeMeta(const SolverCheckpoint& cp) {
   w.PutU64(cp.num_rows);
   w.PutU32(static_cast<uint32_t>(cp.k));
   w.PutU64(cp.batch_size);
-  w.PutU8(cp.parallel ? 1 : 0);
+  // Format version 1 carried a sweep-mode byte here. The snapshot-parallel
+  // mode it flagged walked the serial mini-batch trajectory bit for bit, so
+  // it is written as 0 and ignored on read: such a checkpoint restores into
+  // the serial mini-batch solver unchanged.
+  w.PutU8(0);
   w.PutDouble(cp.lambda);
   w.PutU32(static_cast<uint32_t>(cp.sweeps_completed));
   w.PutU8(cp.converged ? 1 : 0);
@@ -169,8 +173,7 @@ Status DecodeMeta(const std::string& payload, SolverCheckpoint* cp) {
   cp->k = static_cast<int>(u32);
   FAIRKM_RETURN_NOT_OK(r.GetU64(&u64));
   cp->batch_size = static_cast<size_t>(u64);
-  FAIRKM_RETURN_NOT_OK(r.GetU8(&u8));
-  cp->parallel = u8 != 0;
+  FAIRKM_RETURN_NOT_OK(r.GetU8(&u8));  // Retired sweep-mode byte.
   FAIRKM_RETURN_NOT_OK(r.GetDouble(&cp->lambda));
   FAIRKM_RETURN_NOT_OK(r.GetU32(&u32));
   cp->sweeps_completed = static_cast<int>(u32);

@@ -19,14 +19,6 @@ Status FairKMOptions::Validate() const {
   if (minibatch_size < 0) {
     return Status::InvalidArgument("minibatch_size must be >= 0");
   }
-  if (num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
-  if (sweep_mode == SweepMode::kParallelSnapshot && minibatch_size == 0) {
-    return Status::InvalidArgument(
-        "parallel snapshot sweep requires minibatch_size > 0 (candidates are "
-        "evaluated against the frozen prototype snapshot)");
-  }
   if (std::isnan(lambda) || std::isinf(lambda)) {
     return Status::InvalidArgument(
         "lambda must be finite (negative means auto)");

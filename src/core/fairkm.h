@@ -29,20 +29,6 @@
 namespace fairkm {
 namespace core {
 
-/// \brief How one Algorithm-1 sweep evaluates its candidate moves.
-enum class SweepMode {
-  /// Strictly sequential round-robin (paper Algorithm 1; also the §6.1
-  /// mini-batch variant when minibatch_size > 0).
-  kSerial,
-  /// Snapshot-parallel: within each mini-batch the K-Means candidate deltas
-  /// of all points are evaluated concurrently against the frozen prototype
-  /// snapshot, then moves are chosen and applied sequentially with live
-  /// fairness aggregates. Produces trajectories identical to kSerial with
-  /// the same minibatch_size (the snapshot already decouples evaluation from
-  /// application — §6.1 semantics); requires minibatch_size > 0.
-  kParallelSnapshot,
-};
-
 /// \brief FairKM configuration.
 struct FairKMOptions {
   int k = 5;
@@ -58,10 +44,6 @@ struct FairKMOptions {
   /// Mini-batch prototype updates (§6.1): 0 = update after every move
   /// (paper behaviour); B > 0 = refresh prototypes every B processed points.
   int minibatch_size = 0;
-  /// Candidate evaluation strategy; kParallelSnapshot needs minibatch_size > 0.
-  SweepMode sweep_mode = SweepMode::kSerial;
-  /// Worker threads for kParallelSnapshot (0 = hardware concurrency).
-  int num_threads = 0;
   /// A move must improve the objective by at least this much, which guards
   /// against floating-point oscillation across sweeps.
   double min_improvement = 1e-9;
@@ -79,9 +61,6 @@ struct FairKMOptions {
   ///   * k <= 0,
   ///   * max_iterations <= 0,
   ///   * minibatch_size < 0,
-  ///   * num_threads < 0,
-  ///   * sweep_mode == kParallelSnapshot with minibatch_size == 0 (the
-  ///     parallel sweep needs the frozen-snapshot batch semantics),
   ///   * non-finite lambda (negative finite lambda means "auto"),
   ///   * NaN or negative min_improvement.
   Status Validate() const;

@@ -1,7 +1,7 @@
 // Runtime backend selection: cpuid (via __builtin_cpu_supports) picks the
 // best compiled-in backend once, FAIRKM_FORCE_SCALAR / SetActiveBackend
-// override it. The decision is cached in an atomic so the parallel sweep's
-// workers can read kernels concurrently without synchronization.
+// override it. The decision is cached in an atomic so concurrent callers
+// (silhouette probe workers, serving readers) read it without a lock.
 
 #include "core/kernels/kernels.h"
 

@@ -41,11 +41,6 @@
 // tests/fairkm_pruning_test.cc asserts trajectory bit-identity plus
 // bound validity (tests/testlib/brute_force.h) across seeded worlds and
 // kernel backends.
-//
-// Concurrency: ShouldPrune is const and reads only cluster-level state that
-// is frozen while no Move/RefreshPrototypes runs, so the snapshot-parallel
-// sweep may gate candidates from every worker; Refresh writes only point
-// i's slots and is safe for distinct points.
 
 #ifndef FAIRKM_CORE_PRUNING_H_
 #define FAIRKM_CORE_PRUNING_H_

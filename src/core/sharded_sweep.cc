@@ -10,10 +10,7 @@ namespace core {
 
 ShardedSweep::ShardedSweep(FairKMSolver solver, int num_shards,
                            size_t shard_rows)
-    : solver_(std::move(solver)),
-      store_(nullptr),
-      shard_rows_(shard_rows),
-      num_shards_(num_shards) {
+    : solver_(std::move(solver)), store_(nullptr), shard_rows_(shard_rows) {
   stats_.num_shards = num_shards;
   stats_.shard_rows = shard_rows;
 }
@@ -26,17 +23,17 @@ Result<ShardedSweep> ShardedSweep::Create(
     return Status::InvalidArgument("store must not be null");
   }
   FAIRKM_RETURN_NOT_OK(options.Validate());
-  if (options.sweep_mode != SweepMode::kParallelSnapshot) {
+  if (options.minibatch_size == 0) {
     return Status::InvalidArgument(
-        "sharded sweep requires SweepMode::kParallelSnapshot (the driver is "
-        "defined over the snapshot batch engine)");
+        "sharded sweep requires minibatch_size > 0 (shards are whole "
+        "mini-batches)");
   }
   const size_t n = store->rows();
   const size_t batch = static_cast<size_t>(options.minibatch_size);
   // Shard geometry in whole mini-batches: shard boundaries must coincide
   // with prototype-refresh boundaries so "cursor passed the shard" implies
   // "no further reads of its rows until the next sweep".
-  const size_t total_batches = batch > 0 ? (n + batch - 1) / batch : 0;
+  const size_t total_batches = (n + batch - 1) / batch;
   if (total_batches == 0) {
     return Status::InvalidArgument("store must not be empty");
   }
@@ -55,21 +52,14 @@ Result<ShardedSweep> ShardedSweep::Create(
   return sweep;
 }
 
-void ShardedSweep::EvictBehind(size_t processed, bool sweep_complete) {
-  bool evicted = false;
-  while (next_evict_ < num_shards_) {
-    const size_t begin = static_cast<size_t>(next_evict_) * shard_rows_;
-    const size_t end = std::min(store_->rows(), begin + shard_rows_);
-    if (end > processed) break;
-    store_->EvictRows(begin, end);
-    ++stats_.evictions;
-    ++next_evict_;
-    evicted = true;
-  }
-  if (sweep_complete) next_evict_ = 0;
-  if (evicted) {
-    stats_.peak_rss_bytes = std::max(stats_.peak_rss_bytes, CurrentRssBytes());
-  }
+void ShardedSweep::EvictEndingShard(size_t processed) {
+  // Shard ends are mini-batch boundaries and the callback fires at every
+  // one, so the batch ending at a shard's end is the one that finishes it.
+  if (processed % shard_rows_ != 0 && processed != store_->rows()) return;
+  const size_t begin = (processed - 1) / shard_rows_ * shard_rows_;
+  store_->EvictRows(begin, processed);
+  ++stats_.evictions;
+  stats_.peak_rss_bytes = std::max(stats_.peak_rss_bytes, CurrentRssBytes());
 }
 
 Result<RunStop> ShardedSweep::Run(const RunBudget& budget,
@@ -79,7 +69,7 @@ Result<RunStop> ShardedSweep::Run(const RunBudget& budget,
   // defer to the caller. The wrapper cannot perturb the trajectory — it
   // only reads progress and touches the page cache.
   ProgressCallback wrapped = [this, &progress](const SweepProgress& p) {
-    EvictBehind(p.points_processed, p.sweep_complete);
+    EvictEndingShard(p.points_processed);
     return progress ? progress(p) : true;
   };
   return solver_.Run(budget, wrapped);

@@ -2,21 +2,21 @@
 //
 // Wraps a store-backed FairKMSolver (core/solver.h) and partitions the row
 // range into contiguous shards, each a whole number of mini-batches. The
-// sweep itself is the solver's kParallelSnapshot engine: within every
-// mini-batch the candidate K-Means deltas are evaluated concurrently against
-// the frozen prototype snapshot on the solver's ThreadPool, and the chosen
-// moves merge into the live aggregates at the batch boundary. What the
-// sharding layer adds is residency control: every time the sweep cursor
-// passes the end of a shard, that shard's rows are evicted from the page
-// cache (PointStore::EvictRows — MADV_DONTNEED on the mmap backend), so a
-// dataset far larger than RAM streams through a bounded resident set.
+// sweep itself is the solver's serial mini-batch engine (§6.1): within
+// every mini-batch each point's K-Means deltas are scored against the
+// frozen prototype snapshot, its move is applied to the live aggregates in
+// round-robin order, and the prototypes refresh at the batch boundary. What
+// the sharding layer adds is residency control: every time the sweep
+// cursor passes the end of a shard, that shard's rows are evicted from the
+// page cache (PointStore::EvictRows — MADV_DONTNEED on the mmap backend),
+// so a dataset far larger than RAM streams through a bounded resident set.
 //
 // Eviction is invisible to the trajectory: the mapping is read-only and a
 // refault re-reads the same bytes from the store file, so a sharded run is
-// bit-identical to an in-process SweepMode::kParallelSnapshot run over the
-// same rows with an equal minibatch_size and seed — same assignments, same
-// objective history, same pruning counters, in every kernel backend and
-// pruning setting. The equivalence is by construction (the driver only
+// bit-identical to an in-process serial mini-batch run over the same rows
+// with an equal minibatch_size and seed — same assignments, same objective
+// history, same pruning counters, in every kernel backend and pruning
+// setting. The equivalence is by construction (the driver only
 // observes the solver's progress callback; it never steers the sweep), and
 // pinned by tests/sharded_sweep_test.cc.
 
@@ -49,9 +49,9 @@ struct ShardedSweepStats {
 /// like the solver it owns.
 class ShardedSweep {
  public:
-  /// \brief Validates the options (FairKMOptions::Validate, plus: the
-  /// sweep_mode must be kParallelSnapshot — the sharded driver is defined
-  /// over the snapshot engine) and resolves the shard geometry.
+  /// \brief Validates the options (FairKMOptions::Validate, plus:
+  /// minibatch_size must be > 0 — shards are whole mini-batches) and
+  /// resolves the shard geometry.
   /// `num_shards` <= 0 picks a default (8), and any value is clamped so each
   /// shard spans at least one mini-batch; shard_rows rounds the even split
   /// UP to a whole number of mini-batches so shard boundaries always land on
@@ -73,10 +73,11 @@ class ShardedSweep {
   }
 
   /// \brief FairKMSolver::Run with eviction interposed: the driver wraps
-  /// `progress` so that at every mini-batch boundary the shards the cursor
-  /// has fully passed are evicted (all of them at the sweep boundary), then
-  /// the caller's callback — if any — runs as usual and keeps its
-  /// cooperative-cancel contract.
+  /// `progress` so that the mini-batch boundary that ends a shard evicts
+  /// that shard, then the caller's callback — if any — runs as usual and
+  /// keeps its cooperative-cancel contract. Eviction keys off the cursor
+  /// alone, so every full sweep evicts every shard once, whatever came
+  /// before it (a cancel, a re-Init, or a restore that moved the cursor).
   Result<RunStop> Run(const RunBudget& budget = {},
                       const ProgressCallback& progress = nullptr);
 
@@ -91,15 +92,13 @@ class ShardedSweep {
  private:
   ShardedSweep(FairKMSolver solver, int num_shards, size_t shard_rows);
 
-  /// Evicts every shard whose row range lies fully behind `processed`
-  /// (monotone within a sweep), sampling RSS when anything was dropped.
-  void EvictBehind(size_t processed, bool sweep_complete);
+  /// Evicts the shard that ends at mini-batch boundary `processed`, if
+  /// one does, and samples RSS.
+  void EvictEndingShard(size_t processed);
 
   FairKMSolver solver_;
   std::shared_ptr<const data::PointStore> store_;  // Aliases solver's store.
   size_t shard_rows_ = 0;
-  int num_shards_ = 0;
-  int next_evict_ = 0;  ///< First shard not yet evicted this sweep.
   ShardedSweepStats stats_;
 };
 

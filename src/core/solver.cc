@@ -6,7 +6,6 @@
 
 #include "cluster/kmeans.h"
 #include "common/io.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/checkpoint_io.h"
 #include "core/kernels/kernels.h"
@@ -30,7 +29,6 @@ FairKMSolver::FairKMSolver(const data::Matrix* points,
       batch_size_(options.minibatch_size > 0
                       ? static_cast<size_t>(options.minibatch_size)
                       : points->rows()),
-      parallel_(options.sweep_mode == SweepMode::kParallelSnapshot),
       // Bound-gated pruning (core/pruning.h): on unless the options or the
       // FAIRKM_DISABLE_PRUNING escape hatch turn it off. k = 1 has no
       // candidate moves to gate, so skip the bookkeeping entirely.
@@ -52,13 +50,8 @@ FairKMSolver::FairKMSolver(std::shared_ptr<const data::PointStore> store,
       batch_size_(options.minibatch_size > 0
                       ? static_cast<size_t>(options.minibatch_size)
                       : store_->rows()),
-      parallel_(options.sweep_mode == SweepMode::kParallelSnapshot),
       pruning_(options.enable_pruning && !PruningDisabledByEnv() &&
                options.k > 1) {}
-
-FairKMSolver::FairKMSolver(FairKMSolver&&) noexcept = default;
-FairKMSolver& FairKMSolver::operator=(FairKMSolver&&) noexcept = default;
-FairKMSolver::~FairKMSolver() = default;
 
 Result<FairKMSolver> FairKMSolver::Create(const data::Matrix* points,
                                           const data::SensitiveView* sensitive,
@@ -123,10 +116,10 @@ Status FairKMSolver::Init(uint64_t seed) {
 Status FairKMSolver::Init(cluster::Assignment warm_start) {
   if (!state_) {
     // First Init: build the session state — the aligned point store, norm
-    // caches, aggregates, bound tables, pruner, thread pool and batch
-    // scratch. Every later Init reuses all of it. A store-backed session
-    // hands its (possibly memory-mapped) store to the state instead of a
-    // matrix to copy.
+    // caches, aggregates, bound tables, pruner and kernel scratch. Every
+    // later Init reuses all of it. A store-backed session hands its
+    // (possibly memory-mapped) store to the state instead of a matrix to
+    // copy.
     if (points_ != nullptr) {
       FAIRKM_ASSIGN_OR_RETURN(
           FairKMState built,
@@ -147,20 +140,8 @@ Status FairKMSolver::Init(cluster::Assignment warm_start) {
                                               options_.min_improvement);
     }
     const size_t k = static_cast<size_t>(options_.k);
-    // Scratch for the batched K-Means kernel: one row of k candidate deltas
-    // (plus, when pruning, k exported distances) per in-flight point — the
-    // whole mini-batch in parallel mode, one row otherwise.
-    const size_t rows = parallel_ ? std::min(batch_size_, std::max<size_t>(n_, 1))
-                                  : 1;
-    km_deltas_.assign(rows * k, 0.0);
-    km_dists_.assign(pruning_ ? rows * k : 0, 0.0);
-    evaluated_.assign(parallel_ ? rows : 0, 1);
-    if (parallel_) {
-      const size_t num_threads = options_.num_threads > 0
-                                     ? static_cast<size_t>(options_.num_threads)
-                                     : ThreadPool::DefaultThreadCount();
-      if (num_threads > 1) pool_ = std::make_unique<ThreadPool>(num_threads);
-    }
+    km_deltas_.assign(k, 0.0);
+    km_dists_.assign(pruning_ ? k : 0, 0.0);
   } else {
     FAIRKM_RETURN_NOT_OK(state_->Reset(std::move(warm_start)));
     if (pruner_) {
@@ -205,82 +186,17 @@ bool FairKMSolver::ApplyBestMove(size_t i, const double* km_deltas) {
 }
 
 void FairKMSolver::ProcessBatchSerial(size_t batch_start, size_t batch_end) {
-  const size_t k = static_cast<size_t>(options_.k);
-  const uint64_t cands_per_point = static_cast<uint64_t>(k - 1);
+  const uint64_t cands_per_point = static_cast<uint64_t>(options_.k - 1);
+  double* dists = pruner_ ? km_dists_.data() : nullptr;
   for (size_t i = batch_start; i < batch_end; ++i) {
     total_candidates_ += cands_per_point;
     if (pruner_ && pruner_->ShouldPrune(i)) {
       pruned_candidates_ += cands_per_point;
       continue;
     }
-    state_->DeltaKMeansAllClusters(i, km_deltas_.data(), DistsRow(0));
-    if (pruner_) pruner_->Refresh(i, DistsRow(0));
+    state_->DeltaKMeansAllClusters(i, km_deltas_.data(), dists);
+    if (pruner_) pruner_->Refresh(i, dists);
     if (ApplyBestMove(i, km_deltas_.data())) {
-      if (pruner_) pruner_->Invalidate(i);
-      ++moves_in_sweep_;
-    }
-  }
-}
-
-void FairKMSolver::ProcessBatchParallel(size_t batch_start, size_t batch_end) {
-  const size_t k = static_cast<size_t>(options_.k);
-  const uint64_t cands_per_point = static_cast<uint64_t>(k - 1);
-  // Phase 1 (concurrent, read-only): batched K-Means deltas for every point
-  // of the mini-batch that survives the pruning gate, against the frozen
-  // prototype snapshot. Fairness deltas are intentionally left to phase 2 —
-  // they read live aggregates, which is exactly what the serial mini-batch
-  // sweep does, so both modes walk identical trajectories. The gate is
-  // re-checked live in phase 2 (earlier moves of the same batch shift the
-  // fairness bounds), so a phase-1 skip is only a prefetch decision, never a
-  // correctness one.
-  const size_t count = batch_end - batch_start;
-  auto eval_point = [this, batch_start, k](size_t offset) {
-    const size_t i = batch_start + offset;
-    if (pruner_ && pruner_->ShouldPrune(i)) {
-      evaluated_[offset] = 0;
-      return;
-    }
-    evaluated_[offset] = 1;
-    state_->DeltaKMeansAllClusters(i, km_deltas_.data() + offset * k,
-                                   DistsRow(offset));
-    if (pruner_) pruner_->Refresh(i, DistsRow(offset));
-  };
-  if (pool_) {
-    const size_t shards = std::min(pool_->num_threads(), count);
-    const size_t chunk = (count + shards - 1) / shards;
-    for (size_t s = 0; s < shards; ++s) {
-      const size_t lo = s * chunk;
-      const size_t hi = std::min(count, lo + chunk);
-      if (lo >= hi) break;
-      pool_->Submit([&eval_point, lo, hi] {
-        for (size_t off = lo; off < hi; ++off) eval_point(off);
-      });
-    }
-    pool_->Wait();
-  } else {
-    for (size_t off = 0; off < count; ++off) eval_point(off);
-  }
-  // Phase 2 (sequential): pick and apply moves in round-robin order.
-  // Phase-1 survivors go straight to the exact argmin — their deltas are
-  // already computed, so re-running the gate would only duplicate the
-  // fairness work ApplyBestMove does anyway. Phase-1-pruned points re-check
-  // the gate live (earlier moves of this batch may have shifted the fairness
-  // bounds); if it no longer holds they are evaluated on demand against the
-  // still-frozen snapshot, which yields deltas identical to a phase-1
-  // evaluation.
-  for (size_t i = batch_start; i < batch_end; ++i) {
-    const size_t offset = i - batch_start;
-    total_candidates_ += cands_per_point;
-    if (pruner_ && !evaluated_[offset]) {
-      if (pruner_->ShouldPrune(i)) {
-        pruned_candidates_ += cands_per_point;
-        continue;
-      }
-      state_->DeltaKMeansAllClusters(i, km_deltas_.data() + offset * k,
-                                     DistsRow(offset));
-      pruner_->Refresh(i, DistsRow(offset));
-    }
-    if (ApplyBestMove(i, km_deltas_.data() + offset * k)) {
       if (pruner_) pruner_->Invalidate(i);
       ++moves_in_sweep_;
     }
@@ -295,11 +211,7 @@ FairKMSolver::BatchesOutcome FairKMSolver::RunBatches(
     const size_t batch_start = next_point_;
     const size_t batch_end = std::min(n_, batch_start + batch_size_);
     Timer batch_timer;
-    if (parallel_) {
-      ProcessBatchParallel(batch_start, batch_end);
-    } else {
-      ProcessBatchSerial(batch_start, batch_end);
-    }
+    ProcessBatchSerial(batch_start, batch_end);
     // Re-synchronize the prototype snapshot at every mini-batch boundary
     // (the one-shot path refreshed interior boundaries in the loop and the
     // final batch after it — once per batch either way).
@@ -514,7 +426,6 @@ Result<SolverCheckpoint> FairKMSolver::Snapshot() const {
   cp.num_rows = n_;
   cp.k = options_.k;
   cp.batch_size = batch_size_;
-  cp.parallel = parallel_;
   cp.lambda = lambda_;
   state_->SaveCheckpoint(&cp.state);
   cp.has_pruner = pruner_ != nullptr;
@@ -535,10 +446,10 @@ Status FairKMSolver::Restore(const SolverCheckpoint& cp) {
     return Status::InvalidArgument(
         "checkpoint does not match this solver's inputs (n/k differ)");
   }
-  if (cp.batch_size != batch_size_ || cp.parallel != parallel_) {
+  if (cp.batch_size != batch_size_) {
     return Status::InvalidArgument(
-        "checkpoint was taken under a different mini-batch size or sweep "
-        "mode (prototype-refresh boundaries would diverge)");
+        "checkpoint was taken under a different mini-batch size "
+        "(prototype-refresh boundaries would diverge)");
   }
   if (cp.has_pruner != pruning_) {
     return Status::InvalidArgument(
@@ -633,13 +544,6 @@ Status FairKMSolver::SyncStoreGrowth() {
   }
   n_ = store_->rows();
   if (!minibatch_) batch_size_ = n_;
-  // Resize the batch scratch exactly as the first Init sized it.
-  const size_t k = static_cast<size_t>(options_.k);
-  const size_t rows =
-      parallel_ ? std::min(batch_size_, std::max<size_t>(n_, 1)) : 1;
-  km_deltas_.assign(rows * k, 0.0);
-  km_dists_.assign(pruning_ ? rows * k : 0, 0.0);
-  evaluated_.assign(parallel_ ? rows : 0, 1);
   // The pruner's per-point bound tables are sized to n; rebuild it so every
   // bound restarts stale (never read until refreshed by an exact pass).
   if (pruning_) {

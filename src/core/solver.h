@@ -23,8 +23,8 @@
 //     (aggregates in their incremental summation order, pruner bounds,
 //     sweep cursor), so a restored run replays the EXACT trajectory of an
 //     uninterrupted one — bit-identical assignments, objective history and
-//     pruning counters — in every SweepMode x kernel backend x pruning
-//     setting.
+//     pruning counters — in every sweep shape (Algorithm 1 or §6.1
+//     mini-batch) x kernel backend x pruning setting.
 //   * Assign(new_points[, new_sensitive]) is the out-of-sample serving
 //     path: each new point goes to the non-empty trained cluster minimizing
 //     its Eq. 1 insertion cost |C|/(|C|+1) d(x, mu_C)^2 (+ lambda times the
@@ -64,9 +64,6 @@
 #include "data/sensitive.h"
 
 namespace fairkm {
-
-class ThreadPool;
-
 namespace core {
 
 /// \brief Budget for FairKMSolver::Run. Negative fields mean "unbounded";
@@ -140,11 +137,10 @@ using ProgressCallback = std::function<bool(const SweepProgress&)>;
 struct SolverCheckpoint {
   size_t num_rows = 0;
   int k = 0;
-  /// Sweep-shape identity: restoring under a different mini-batch size or
-  /// sweep mode would silently change refresh boundaries, so Restore
-  /// rejects mismatches.
+  /// Sweep-shape identity: restoring under a different mini-batch size
+  /// would silently change refresh boundaries, so Restore rejects
+  /// mismatches.
   size_t batch_size = 0;
-  bool parallel = false;
   double lambda = 0.0;
   FairKMState::Checkpoint state;
   bool has_pruner = false;
@@ -181,13 +177,11 @@ class FairKMSolver {
       std::shared_ptr<const data::PointStore> store,
       const data::SensitiveView* sensitive, const FairKMOptions& options);
 
-  // Move-only; special members out of line (ThreadPool is only forward-
-  // declared here).
-  FairKMSolver(FairKMSolver&&) noexcept;
-  FairKMSolver& operator=(FairKMSolver&&) noexcept;
+  FairKMSolver(FairKMSolver&&) noexcept = default;
+  FairKMSolver& operator=(FairKMSolver&&) noexcept = default;
   FairKMSolver(const FairKMSolver&) = delete;
   FairKMSolver& operator=(const FairKMSolver&) = delete;
-  ~FairKMSolver();
+  ~FairKMSolver() = default;
 
   /// \brief Starts a run from the options' initialization strategy, drawing
   /// from `rng` (equal seeds, equal trajectories).
@@ -291,10 +285,10 @@ class FairKMSolver {
   /// \brief Re-synchronizes a store-backed session after the bound store's
   /// row count changed underneath it (online admit/retire): adopts the new
   /// n, re-hoists the full-sweep batch size (mini-batch sizes are kept),
-  /// resizes the batch scratch, rebuilds the pruner over the resized state
-  /// (all per-point bounds restart stale — sound, just unpruned until
-  /// refreshed), and clears `converged` so the next Sweep/Run re-certifies
-  /// the objective over the new membership. The caller must already have
+  /// rebuilds the pruner over the resized state (all per-point bounds
+  /// restart stale — sound, just unpruned until refreshed), and clears
+  /// `converged` so the next Sweep/Run re-certifies the objective over the
+  /// new membership. The caller must already have
   /// brought the FairKMState to the new row count (the online engine's
   /// admit/retire hooks do). Rejected mid-sweep. Durable checkpoints taken
   /// before a growth step no longer Restore (num_rows mismatch) — by
@@ -332,12 +326,7 @@ class FairKMSolver {
   BatchesOutcome RunBatches(const ProgressCallback& progress, double deadline,
                             double spent_before, RunStop* stop);
   void ProcessBatchSerial(size_t batch_start, size_t batch_end);
-  void ProcessBatchParallel(size_t batch_start, size_t batch_end);
   bool ApplyBestMove(size_t i, const double* km_deltas);
-  double* DistsRow(size_t offset) {
-    return pruner_ ? km_dists_.data() + offset * static_cast<size_t>(options_.k)
-                   : nullptr;
-  }
 
   const data::Matrix* points_;  // Null for store-backed sessions.
   // Shared store for store-backed sessions (set at Create); matrix-backed
@@ -350,16 +339,15 @@ class FairKMSolver {
   double lambda_ = 0.0;
   bool minibatch_ = false;
   size_t batch_size_ = 0;
-  bool parallel_ = false;
   bool pruning_ = false;
 
   // Session state, built at the first Init and reused afterwards.
   std::unique_ptr<FairKMState> state_;
   std::unique_ptr<SweepPruner> pruner_;
-  std::unique_ptr<ThreadPool> pool_;
+  // One point's k candidate K-Means deltas (and, when pruning, its k exact
+  // distances for the pruner): the batched kernel's output row.
   std::vector<double> km_deltas_;
   std::vector<double> km_dists_;
-  std::vector<uint8_t> evaluated_;
 
   // Run progress.
   int sweeps_completed_ = 0;

@@ -47,7 +47,7 @@ Result<SupervisedRunner> SupervisedRunner::Create(
   if (points == nullptr) {
     return Status::InvalidArgument(
         "supervisor: a points matrix is required (it is the rebuild source "
-        "when the demotion ladder abandons an mmap store)");
+        "when the store demotion abandons an mmap store)");
   }
   if (sensitive == nullptr) {
     return Status::InvalidArgument("supervisor: sensitive view is null");
@@ -113,24 +113,10 @@ void SupervisedRunner::BackoffSleep(int attempt) {
 }
 
 bool SupervisedRunner::DemoteOnce() {
-  if (policy_.allow_store_demotion &&
-      spec_.backend == data::PointStoreSpec::Backend::kMmap) {
-    spec_ = data::PointStoreSpec{};  // in-memory backend
-    ++stats_.store_demotions;
-    return true;
-  }
-  if (policy_.allow_pruning_demotion && options_.enable_pruning) {
-    options_.enable_pruning = false;
-    ++stats_.pruning_demotions;
-    return true;
-  }
-  if (policy_.allow_parallel_demotion &&
-      options_.sweep_mode == SweepMode::kParallelSnapshot) {
-    options_.sweep_mode = SweepMode::kSerial;
-    ++stats_.parallel_demotions;
-    return true;
-  }
-  return false;  // ladder exhausted
+  if (spec_.backend != data::PointStoreSpec::Backend::kMmap) return false;
+  spec_ = data::PointStoreSpec{};  // in-memory backend
+  ++stats_.store_demotions;
+  return true;
 }
 
 Status SupervisedRunner::RestoreLastGood() {
@@ -211,7 +197,7 @@ Result<RunStop> SupervisedRunner::Run(uint64_t seed, int max_sweeps,
   jitter_rng_ = Rng(seed ^ 0x9e3779b97f4a7c15ull);
   const uint64_t dirsync_failures_before = io::DirFsyncFailures();
 
-  // Build the session, walking the demotion ladder on I/O failures — an
+  // Build the session, demoting the store on repeated I/O failures — an
   // mmap store that cannot be written/verified degrades to the in-memory
   // backend instead of failing the run.
   {

@@ -22,11 +22,11 @@
 //     recovery consumes one unit of the `max_rollbacks` budget and sleeps a
 //     full-jitter backoff first (the serve/retry.h policy semantics,
 //     re-implemented here because core cannot link serve).
-//   * Graceful degradation — repeated I/O faults walk a demotion ladder:
-//     mmap store -> in-memory copy, then pruning on -> off, then parallel
-//     sweep -> serial. A demotion rebuilds the solver with the downgraded
-//     configuration and warm-starts it from the last good assignment, so
-//     progress carries across the rebuild.
+//   * Graceful degradation — repeated I/O faults demote an mmap store to an
+//     in-memory copy of the rows (the one configuration that reads a file
+//     during the sweep). The demotion rebuilds the solver over the copy and
+//     warm-starts it from the last good assignment, so progress carries
+//     across the rebuild.
 //
 // Determinism note: a rollback replays sweeps the solver already ran, and
 // Snapshot/Restore replays are bit-identical, so a supervised run that
@@ -87,12 +87,8 @@ struct SupervisorPolicy {
   /// Init).
   bool resume = true;
 
-  // --- Demotion ladder on repeated I/O faults.
-  /// Consecutive I/O faults that trigger one demotion rung.
+  /// Consecutive I/O faults that demote an mmap store to in-memory.
   int io_faults_per_demotion = 2;
-  bool allow_store_demotion = true;     ///< mmap store -> in-memory.
-  bool allow_pruning_demotion = true;   ///< enable_pruning -> false.
-  bool allow_parallel_demotion = true;  ///< kParallelSnapshot -> kSerial.
 };
 
 /// \brief Everything the self-healing loop did, surfaced through the CLI
@@ -104,8 +100,6 @@ struct SupervisorStats {
   int stall_faults = 0;        ///< Watchdog: sweep exceeded stall timeout.
   int io_faults = 0;           ///< I/O-class errors (sweep, store, ckpt).
   int store_demotions = 0;     ///< mmap -> memory rebuilds.
-  int pruning_demotions = 0;   ///< pruning disabled rebuilds.
-  int parallel_demotions = 0;  ///< parallel -> serial rebuilds.
   int checkpoints_saved = 0;
   /// Best-effort parent-directory fsyncs that failed during the run
   /// (io::DirFsyncFailures delta; nonzero means rename durability is
@@ -122,7 +116,7 @@ class SupervisedRunner {
  public:
   /// \brief Validates inputs and binds them. `points` is required even for
   /// an mmap `store_spec` — the matrix is the rebuild source when the
-  /// demotion ladder abandons the store file.
+  /// store demotion abandons the store file.
   static Result<SupervisedRunner> Create(const data::Matrix* points,
                                          const data::SensitiveView* sensitive,
                                          const FairKMOptions& options,
@@ -159,13 +153,13 @@ class SupervisedRunner {
                    const data::SensitiveView* sensitive, FairKMOptions options,
                    data::PointStoreSpec store_spec, SupervisorPolicy policy);
 
-  /// Builds solver_ from the current (possibly demoted) options_/spec_.
+  /// Builds solver_ from options_ and the current (possibly demoted) spec_.
   Status BuildSolver();
   /// Recovery: count the fault, back off, maybe demote (I/O streaks), then
   /// restore dir -> snapshot -> fresh Init. Fails when the rollback budget
   /// is spent.
   Status HandleFault(FaultKind kind, const Status& cause);
-  /// One rung of the demotion ladder; returns false when fully demoted.
+  /// Demotes an mmap store to in-memory; false when already in memory.
   bool DemoteOnce();
   Status RestoreLastGood();
   /// Writes ckpt-<sweeps>.fkmc into checkpoint_dir and prunes retention.
@@ -174,7 +168,7 @@ class SupervisedRunner {
 
   const data::Matrix* points_;
   const data::SensitiveView* sensitive_;
-  FairKMOptions options_;          // Current, possibly demoted.
+  FairKMOptions options_;
   data::PointStoreSpec spec_;      // Current, possibly demoted.
   SupervisorPolicy policy_;
   uint64_t seed_ = 0;

@@ -32,10 +32,10 @@
 //     hands fully-swept shards back, which is what bounds RSS below the
 //     dataset footprint for out-of-core runs (core::ShardedSweep).
 //
-// The store is read-only after construction, so the snapshot-parallel sweep
-// can stream it from every worker thread. Mmap-backed stores own a file
-// mapping, so PointStore is move-only; share one across sessions via the
-// shared_ptr<const PointStore> that Create()/Open() return.
+// The store is read-only after construction, so concurrent readers need no
+// synchronization. Mmap-backed stores own a file mapping, so PointStore is
+// move-only; share one across sessions via the shared_ptr<const PointStore>
+// that Create()/Open() return.
 //
 // On-disk format (all integers little-endian, CRCs masked CRC32C):
 //

@@ -46,10 +46,10 @@ struct RunConfig {
   Method method = Method::kFairKMAll;
   /// The full FairKM configuration, embedded verbatim (core/fairkm.h) — the
   /// single source of truth for every FairKM knob (k, lambda,
-  /// max_iterations, fairness-term construction, mini-batch, sweep mode,
-  /// threads, pruning). The structural fields every method shares — k and
-  /// max_iterations — are read from here by the non-FairKM methods too (the
-  /// S-blind K-Means reference keeps its own fixed 100-iteration Lloyd cap).
+  /// max_iterations, fairness-term construction, mini-batch, pruning). The
+  /// structural fields every method shares — k and max_iterations — are
+  /// read from here by the non-FairKM methods too (the S-blind K-Means
+  /// reference keeps its own fixed 100-iteration Lloyd cap).
   core::FairKMOptions fairkm;
   /// ZGYA lambda; negative = auto balance (see cluster/zgya.h).
   double zgya_lambda = -1.0;
@@ -155,7 +155,7 @@ class ExperimentRunner {
   /// final state exactly like RunSeed and reporting the SupervisorStats
   /// alongside. FairKM-over-all-attributes only (the supervised runtime
   /// binds the full sensitive view). `store_spec` selects the storage
-  /// backend the supervised session starts from (the demotion ladder may
+  /// backend the supervised session starts from (the store demotion may
   /// abandon it mid-run).
   Result<SupervisedSeedOutcome> RunSupervisedSeed(
       const RunConfig& config, uint64_t seed,

@@ -90,8 +90,8 @@ struct DriftPolicy {
 
 /// \brief Engine construction knobs.
 struct OnlineOptions {
-  /// Solver configuration of the owned session (k, lambda, sweep mode,
-  /// mini-batching, pruning — every FairKMOptions knob applies).
+  /// Solver configuration of the owned session (k, lambda, mini-batching,
+  /// pruning — every FairKMOptions knob applies).
   core::FairKMOptions solver;
   DriftPolicy drift;
   /// When non-empty, every re-sweep (and explicit Checkpoint() call) writes

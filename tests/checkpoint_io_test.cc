@@ -67,7 +67,6 @@ void ExpectCheckpointsEqual(const SolverCheckpoint& a,
   EXPECT_EQ(a.num_rows, b.num_rows);
   EXPECT_EQ(a.k, b.k);
   EXPECT_EQ(a.batch_size, b.batch_size);
-  EXPECT_EQ(a.parallel, b.parallel);
   EXPECT_EQ(a.lambda, b.lambda);
   EXPECT_EQ(a.sweeps_completed, b.sweeps_completed);
   EXPECT_EQ(a.converged, b.converged);
@@ -467,6 +466,74 @@ TEST_F(CheckpointIoTest, LoadIntoMismatchedSolverIsInvalidArgument) {
       FairKMSolver::Create(&world.points, &world.sensitive, other).ValueOrDie();
   EXPECT_EQ(mismatched.LoadCheckpoint(path).code(),
             StatusCode::kInvalidArgument);
+}
+
+// Format version 1 keeps a retired sweep-mode byte at offset 20 of the meta
+// section (after num_rows u64, k u32 and batch_size u64). The snapshot-
+// parallel mode that wrote 1 there walked the serial mini-batch trajectory
+// bit for bit, so such a file must restore into the mini-batch solver and
+// finish exactly like the uninterrupted run.
+TEST_F(CheckpointIoTest, RetiredModeByteRestoresIntoMiniBatchSolver) {
+  constexpr uint32_t kCheckpointMagic = 0x464B4D43;
+  constexpr uint32_t kMetaTag = 1;
+  constexpr size_t kModeByte = 20;
+  const SeededWorld world = MakeSeededWorld(97);
+  const FairKMOptions options = BaseOptions();
+
+  FairKMSolver reference =
+      FairKMSolver::Create(&world.points, &world.sensitive, options)
+          .ValueOrDie();
+  ASSERT_TRUE(reference.Init(uint64_t{11}).ok());
+  ASSERT_TRUE(reference.Run().ok());
+
+  // Stop mid-sweep 2 so the restored cursor sits inside a sweep.
+  FairKMSolver paused =
+      FairKMSolver::Create(&world.points, &world.sensitive, options)
+          .ValueOrDie();
+  ASSERT_TRUE(paused.Init(uint64_t{11}).ok());
+  ASSERT_TRUE(paused
+                  .Run({},
+                       [](const SweepProgress& p) {
+                         return !(p.sweep == 2 && p.points_processed == 32);
+                       })
+                  .ok());
+  ASSERT_TRUE(paused.mid_sweep());
+  const std::string path = Path("parallel-mode.fkmc");
+  ASSERT_TRUE(paused.SaveCheckpoint(path).ok());
+
+  // Re-frame the file with the mode byte set, as the parallel mode wrote it.
+  Result<io::SectionFile> file =
+      io::ReadSectionFile(path, kCheckpointMagic, 1, "test");
+  ASSERT_TRUE(file.ok()) << file.status();
+  io::SectionFile sections = file.MoveValueUnsafe();
+  bool patched = false;
+  for (io::Section& section : sections.sections) {
+    if (section.tag != kMetaTag) continue;
+    ASSERT_GT(section.payload.size(), kModeByte);
+    EXPECT_EQ(section.payload[kModeByte], '\0');  // Written as 0 now.
+    section.payload[kModeByte] = 1;
+    patched = true;
+  }
+  ASSERT_TRUE(patched);
+  ASSERT_TRUE(io::WriteSectionFile(path, kCheckpointMagic, sections.version,
+                                   sections.sections, "test")
+                  .ok());
+
+  FairKMSolver resumed =
+      FairKMSolver::Create(&world.points, &world.sensitive, options)
+          .ValueOrDie();
+  const Status loaded = resumed.LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded;
+  EXPECT_TRUE(resumed.mid_sweep());
+  ASSERT_TRUE(resumed.Run().ok());
+  const FairKMResult a = reference.CurrentResult().ValueOrDie();
+  const FairKMResult b = resumed.CurrentResult().ValueOrDie();
+  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_EQ(a.objective_history, b.objective_history);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.total_candidates, b.total_candidates);
+  EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
 }
 
 }  // namespace

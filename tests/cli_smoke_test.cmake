@@ -149,19 +149,19 @@ execute_process(
   COMMAND "${FAIRKM_CLI}"
           --input "${input}" --output "${mem_output}"
           --sensitive gender --method fairkm --k 2 --seed 7
-          --sweep parallel --minibatch 4
+          --minibatch 4
   RESULT_VARIABLE exit_code
   OUTPUT_VARIABLE stdout
   ERROR_VARIABLE stderr)
 if(NOT exit_code EQUAL 0)
-  message(FATAL_ERROR "in-memory snapshot run exited with ${exit_code}\nstdout:\n${stdout}\nstderr:\n${stderr}")
+  message(FATAL_ERROR "in-memory mini-batch run exited with ${exit_code}\nstdout:\n${stdout}\nstderr:\n${stderr}")
 endif()
 
 execute_process(
   COMMAND "${FAIRKM_CLI}"
           --input "${input}" --output "${mmap_output}"
           --sensitive gender --method fairkm --k 2 --seed 7
-          --sweep parallel --minibatch 4
+          --minibatch 4
           --store "mmap:${store_file}" --shards 2
   RESULT_VARIABLE exit_code
   OUTPUT_VARIABLE stdout
@@ -185,8 +185,8 @@ if(NOT mem_csv STREQUAL mmap_csv)
   message(FATAL_ERROR "mmap sharded output differs from the in-memory run:\n--- mem:\n${mem_csv}\n--- mmap:\n${mmap_csv}")
 endif()
 
-# A requested mmap store without the snapshot batch engine must fail with
-# the actionable message, not fall back silently.
+# A requested mmap store without mini-batching must fail with the
+# actionable message, not fall back silently.
 execute_process(
   COMMAND "${FAIRKM_CLI}"
           --input "${input}" --sensitive gender --method fairkm --k 2 --seed 7
@@ -195,11 +195,11 @@ execute_process(
   OUTPUT_VARIABLE stdout
   ERROR_VARIABLE stderr)
 if(NOT exit_code EQUAL 1)
-  message(FATAL_ERROR "mmap-without-parallel run should exit 1, got ${exit_code}\nstdout:\n${stdout}\nstderr:\n${stderr}")
+  message(FATAL_ERROR "mmap-without-minibatch run should exit 1, got ${exit_code}\nstdout:\n${stdout}\nstderr:\n${stderr}")
 endif()
-string(FIND "${stderr}" "requires --sweep parallel" pos)
+string(FIND "${stderr}" "requires --minibatch > 0" pos)
 if(pos EQUAL -1)
-  message(FATAL_ERROR "stderr missing the --sweep parallel requirement:\n${stderr}")
+  message(FATAL_ERROR "stderr missing the --minibatch requirement:\n${stderr}")
 endif()
 
 message(STATUS "fairkm_cli out-of-core smoke test passed")

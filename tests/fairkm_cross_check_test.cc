@@ -99,42 +99,6 @@ TEST(FairKMCrossCheck, FinalObjectiveMatchesScratchEvaluation) {
               1e-9 * std::max(1.0, std::fabs(scratch.Total(fast.lambda_used))));
 }
 
-TEST(FairKMCrossCheck, ParallelSnapshotSweepMatchesSerialMinibatch) {
-  // The snapshot-parallel sweep only parallelizes candidate evaluation
-  // against the frozen prototypes; move selection/application stays
-  // sequential, so it must walk the exact same trajectory as the serial
-  // sweep with the same mini-batch size — for any thread count.
-  WorldSpec spec;
-  spec.random_weights = true;
-  for (uint64_t seed : {707u, 808u}) {
-    const SeededWorld world = MakeSeededWorld(seed, spec);
-    core::FairKMOptions serial;
-    serial.k = world.k;
-    serial.max_iterations = 12;
-    serial.minibatch_size = 16;
-    const core::FairKMResult want = RunOptimizer(false, world, serial, seed + 1);
-
-    for (int threads : {1, 2, 4}) {
-      core::FairKMOptions parallel = serial;
-      parallel.sweep_mode = core::SweepMode::kParallelSnapshot;
-      parallel.num_threads = threads;
-      const core::FairKMResult got = RunOptimizer(false, world, parallel, seed + 1);
-      ExpectSameTrajectory(got, want);
-    }
-  }
-}
-
-TEST(FairKMCrossCheck, ParallelSweepRequiresMinibatch) {
-  const SeededWorld world = MakeSeededWorld(909);
-  core::FairKMOptions options;
-  options.k = world.k;
-  options.sweep_mode = core::SweepMode::kParallelSnapshot;
-  Rng rng(910);
-  const auto result =
-      RunFairKMSession(world.points, world.sensitive, options, &rng);
-  EXPECT_FALSE(result.ok());
-}
-
 TEST(FairKMCrossCheck, ObjectiveHistoryIsNonIncreasing) {
   const SeededWorld world = MakeSeededWorld(606);
   core::FairKMOptions options;

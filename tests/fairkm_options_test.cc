@@ -38,10 +38,6 @@ TEST(FairKMOptionsTest, PaperAndMiniBatchConfigurationsAreValid) {
   options.max_iterations = 30;
   options.minibatch_size = 512;
   EXPECT_TRUE(options.Validate().ok());
-
-  options.sweep_mode = SweepMode::kParallelSnapshot;
-  options.num_threads = 4;
-  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(FairKMOptionsTest, RejectsNonPositiveK) {
@@ -66,28 +62,6 @@ TEST(FairKMOptionsTest, RejectsNegativeMinibatchSize) {
   ExpectInvalid(options, "minibatch_size = -1");
   // 0 is the paper behaviour (update after every move), not an error.
   options.minibatch_size = 0;
-  EXPECT_TRUE(options.Validate().ok());
-}
-
-TEST(FairKMOptionsTest, RejectsNegativeNumThreads) {
-  FairKMOptions options;
-  options.num_threads = -2;
-  ExpectInvalid(options, "num_threads = -2");
-  // 0 means hardware concurrency.
-  options.num_threads = 0;
-  EXPECT_TRUE(options.Validate().ok());
-}
-
-TEST(FairKMOptionsTest, ParallelSnapshotRequiresMiniBatching) {
-  FairKMOptions options;
-  options.sweep_mode = SweepMode::kParallelSnapshot;
-  options.minibatch_size = 0;
-  const Status st = options.Validate();
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("minibatch_size"), std::string::npos);
-
-  options.minibatch_size = 1;
   EXPECT_TRUE(options.Validate().ok());
 }
 
@@ -135,13 +109,14 @@ TEST(FairKMOptionsTest, SolverCreatePropagatesValidate) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(rejected.status().message(), bad.Validate().message());
 
-  FairKMOptions snapshot_without_batch;
-  snapshot_without_batch.k = 2;
-  snapshot_without_batch.sweep_mode = SweepMode::kParallelSnapshot;
+  FairKMOptions negative_batch;
+  negative_batch.k = 2;
+  negative_batch.minibatch_size = -4;
   const auto rejected2 =
-      FairKMSolver::Create(&points, &sensitive, snapshot_without_batch);
+      FairKMSolver::Create(&points, &sensitive, negative_batch);
   ASSERT_FALSE(rejected2.ok());
   EXPECT_EQ(rejected2.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rejected2.status().message(), negative_batch.Validate().message());
 
   FairKMOptions good;
   good.k = 2;

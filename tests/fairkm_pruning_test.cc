@@ -1,9 +1,9 @@
 // Pruning correctness: the bound-gated sweep (core/pruning.h) must walk
 // trajectories bit-identical to the exhaustive sweep — same move sequence,
-// same assignment, same per-sweep objective values — across every SweepMode
-// and both kernel backends, and its bounds must never be violated
-// (testlib/brute_force.h's PrunerBoundsHold invariant) under arbitrary move
-// sequences.
+// same assignment, same per-sweep objective values — for Algorithm 1 and
+// the mini-batch sweep under both kernel backends, and its bounds must
+// never be violated (testlib/brute_force.h's PrunerBoundsHold invariant)
+// under arbitrary move sequences.
 
 #include "core/pruning.h"
 
@@ -53,14 +53,11 @@ void ExpectBitIdentical(const core::FairKMResult& pruned,
 struct ModeConfig {
   const char* name;
   int minibatch;
-  core::SweepMode sweep_mode;
-  int threads;
 };
 
 const ModeConfig kModes[] = {
-    {"serial", 0, core::SweepMode::kSerial, 0},
-    {"serial-minibatch", 16, core::SweepMode::kSerial, 0},
-    {"parallel-snapshot", 16, core::SweepMode::kParallelSnapshot, 2},
+    {"serial", 0},
+    {"serial-minibatch", 16},
 };
 
 // These suites test pruning itself, so they must see it enabled even under
@@ -79,7 +76,7 @@ class PruningBackendTest : public ::testing::TestWithParam<bool> {
   void TearDown() override { core::kernels::SetActiveBackend(nullptr); }
 };
 
-TEST_P(PruningBackendTest, TrajectoryBitIdenticalAcrossSweepModes) {
+TEST_P(PruningBackendTest, TrajectoryBitIdenticalAcrossSweepShapes) {
   WorldSpec spec;
   spec.blobs = 4;
   spec.per_blob = 30;
@@ -92,8 +89,6 @@ TEST_P(PruningBackendTest, TrajectoryBitIdenticalAcrossSweepModes) {
       options.k = world.k;
       options.max_iterations = 15;
       options.minibatch_size = mode.minibatch;
-      options.sweep_mode = mode.sweep_mode;
-      options.num_threads = mode.threads;
       options.enable_pruning = true;
       const core::FairKMResult pruned = RunWorld(world, options, seed);
       options.enable_pruning = false;

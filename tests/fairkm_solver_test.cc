@@ -1,10 +1,13 @@
 // FairKMSolver session-API lifecycle tests: stepwise sweeps,
-// checkpoint-resume and warm-start bit-identity (all SweepModes x pruning
-// settings), cooperative cancellation consistency, budgets, and the
-// out-of-sample Assign() path cross-checked against brute force.
+// checkpoint-resume and warm-start bit-identity (Algorithm 1 and the
+// mini-batch sweep x pruning settings), cooperative cancellation
+// consistency, budgets, and the out-of-sample Assign() path cross-checked
+// against brute force.
 
 #include "core/solver.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -14,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fairkm.h"
+#include "core/objective.h"
 #include "testlib/brute_force.h"
 #include "testlib/worlds.h"
 
@@ -31,22 +35,19 @@ using testutil::WorldSpec;
 struct ModeParam {
   const char* name;
   int minibatch;
-  SweepMode sweep;
   bool pruning;
 };
 
-// Every SweepMode x pruning combination (the parallel snapshot sweep
-// requires a mini-batch). The kernel-backend axis is covered by running the
-// whole suite under FAIRKM_FORCE_SCALAR in CI; the pruning-off axis is
-// additionally covered by FAIRKM_DISABLE_PRUNING, which both sides of every
-// comparison see identically.
+// Every sweep shape (Algorithm 1, §6.1 mini-batch) x pruning combination.
+// The kernel-backend axis is covered by running the whole suite under
+// FAIRKM_FORCE_SCALAR in CI; the pruning-off axis is additionally covered by
+// FAIRKM_DISABLE_PRUNING, which both sides of every comparison see
+// identically.
 const ModeParam kModes[] = {
-    {"serial", 0, SweepMode::kSerial, true},
-    {"serial-exact", 0, SweepMode::kSerial, false},
-    {"minibatch", 16, SweepMode::kSerial, true},
-    {"minibatch-exact", 16, SweepMode::kSerial, false},
-    {"parallel", 16, SweepMode::kParallelSnapshot, true},
-    {"parallel-exact", 16, SweepMode::kParallelSnapshot, false},
+    {"serial", 0, true},
+    {"serial-exact", 0, false},
+    {"minibatch", 16, true},
+    {"minibatch-exact", 16, false},
 };
 
 FairKMOptions OptionsFor(const ModeParam& mode) {
@@ -55,7 +56,6 @@ FairKMOptions OptionsFor(const ModeParam& mode) {
   options.lambda = 60.0;
   options.max_iterations = 12;
   options.minibatch_size = mode.minibatch;
-  options.sweep_mode = mode.sweep;
   options.enable_pruning = mode.pruning;
   return options;
 }
@@ -133,7 +133,7 @@ TEST(FairKMSolverTest, SnapshotResumeIsBitIdentical) {
 
 // The durable path (SaveCheckpoint -> file -> LoadCheckpoint) must preserve
 // the same bit-identical-resume contract as the in-memory Snapshot/Restore
-// pair, in every SweepMode x pruning combination. (The kernel-backend axis
+// pair, in every sweep shape x pruning combination. (The kernel-backend axis
 // is covered by the CI scalar-forced job running this same suite.)
 TEST(FairKMSolverTest, DurableCheckpointResumeIsBitIdentical) {
   namespace fs = std::filesystem;
@@ -216,7 +216,7 @@ TEST(FairKMSolverTest, MidSweepCancelSnapshotResumeIsBitIdentical) {
 }
 
 TEST(FairKMSolverTest, CancellationLeavesConsistentQueryableState) {
-  const ModeParam mode = {"minibatch", 16, SweepMode::kSerial, true};
+  const ModeParam mode = {"minibatch", 16, true};
   const SeededWorld world = MakeSeededWorld(75);
   const FairKMOptions options = OptionsFor(mode);
 
@@ -562,9 +562,43 @@ TEST(FairKMSolverTest, LifecycleGuardsAndCheckpointValidation) {
   bad.max_iterations = 0;
   EXPECT_FALSE(FairKMSolver::Create(&world.points, &world.sensitive, bad).ok());
   bad = options;
-  bad.sweep_mode = SweepMode::kParallelSnapshot;
-  bad.minibatch_size = 0;
+  bad.minibatch_size = -1;
   EXPECT_FALSE(FairKMSolver::Create(&world.points, &world.sensitive, bad).ok());
+}
+
+// A mini-batch larger than the dataset is one batch per sweep: the run must
+// be bit-identical to one whose batch is exactly n, and its reported terms
+// must match scratch evaluation of the final assignment.
+TEST(FairKMSolverTest, MiniBatchLargerThanDatasetIsOneBatchPerSweep) {
+  WorldSpec spec;
+  spec.per_blob = 5;  // 15 points, one 64-point "batch".
+  const SeededWorld world = MakeSeededWorld(17, spec);
+  FairKMOptions options;
+  options.k = world.k;
+  options.max_iterations = 6;
+  options.minibatch_size = 64;
+  FairKMSolver oversized = MakeSolver(world, options);
+  ASSERT_TRUE(oversized.Init(uint64_t{55}).ok());
+  ASSERT_TRUE(oversized.Run().ok());
+  const FairKMResult got = oversized.CurrentResult().ValueOrDie();
+  ASSERT_EQ(got.assignment.size(), world.points.rows());
+  EXPECT_FALSE(oversized.mid_sweep());
+
+  FairKMOptions exact_fit = options;
+  exact_fit.minibatch_size = static_cast<int>(world.points.rows());
+  FairKMSolver fitted = MakeSolver(world, exact_fit);
+  ASSERT_TRUE(fitted.Init(uint64_t{55}).ok());
+  ASSERT_TRUE(fitted.Run().ok());
+  ExpectSameTrajectory(got, fitted.CurrentResult().ValueOrDie(),
+                       "batch 64 vs batch n");
+
+  const ObjectiveValue scratch =
+      ComputeObjective(world.points, world.sensitive, got.assignment, world.k,
+                       options.fairness);
+  EXPECT_NEAR(got.kmeans_term, scratch.kmeans_term,
+              1e-9 * std::max(1.0, std::abs(scratch.kmeans_term)));
+  EXPECT_NEAR(got.fairness_term, scratch.fairness_term,
+              1e-9 * std::max(1.0, std::abs(scratch.fairness_term)));
 }
 
 }  // namespace

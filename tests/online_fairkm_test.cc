@@ -38,24 +38,21 @@ using testutil::MakeView;
 using testutil::RandomCodes;
 using testutil::SeededWorld;
 
-// One engine configuration per SweepMode x pruning x mini-batch cell the
-// oracle property must hold in (the kernel-backend axis is covered by the CI
-// job that re-runs this suite under FAIRKM_FORCE_SCALAR=1).
+// One engine configuration per mini-batch x pruning cell the oracle
+// property must hold in (the kernel-backend axis is covered by the CI job
+// that re-runs this suite under FAIRKM_FORCE_SCALAR=1).
 struct EngineConfig {
   const char* name;
-  core::SweepMode mode;
   int minibatch;
   bool pruning;
 };
 
 std::vector<EngineConfig> AllConfigs() {
   return {
-      {"serial_pruned", core::SweepMode::kSerial, 0, true},
-      {"serial_unpruned", core::SweepMode::kSerial, 0, false},
-      {"serial_minibatch", core::SweepMode::kSerial, 16, true},
-      {"parallel_snapshot", core::SweepMode::kParallelSnapshot, 16, true},
-      {"parallel_snapshot_unpruned", core::SweepMode::kParallelSnapshot, 16,
-       false},
+      {"serial_pruned", 0, true},
+      {"serial_unpruned", 0, false},
+      {"serial_minibatch", 16, true},
+      {"serial_minibatch_unpruned", 16, false},
   };
 }
 
@@ -65,7 +62,6 @@ OnlineOptions MakeOptions(const SeededWorld& world, const EngineConfig& cfg) {
   // Fixed lambda: the auto heuristic depends on n, which an online engine
   // changes — a fixed weight keeps the oracle comparison exact and simple.
   options.solver.lambda = 60.0;
-  options.solver.sweep_mode = cfg.mode;
   options.solver.minibatch_size = cfg.minibatch;
   options.solver.enable_pruning = cfg.pruning;
   // The oracle property is about admit/retire bookkeeping, not drift: an

@@ -1,9 +1,10 @@
 // Insertion-scorer tests over published snapshots: the core kernel scorer
 // (core::AssignToModel, core/assign.h) must pick bit-identical clusters to
-// the testlib scalar oracle in every SweepMode x pruning x kernel-backend
-// combination, blind and fairness-aware, and the snapshot / validation edge
-// cases (ragged views, empty models, zero-row requests, scratch reuse) must
-// behave the same through FairKMSolver::Assign and the snapshot.
+// the testlib scalar oracle in every sweep shape (Algorithm 1, mini-batch)
+// x pruning x kernel-backend combination, blind and fairness-aware, and the
+// snapshot / validation edge cases (ragged views, empty models, zero-row
+// requests, scratch reuse) must behave the same through
+// FairKMSolver::Assign and the snapshot.
 
 #include "core/assign.h"
 
@@ -28,7 +29,6 @@ using core::AssignScratch;
 using core::AssignToModel;
 using core::FairKMOptions;
 using core::FairKMSolver;
-using core::SweepMode;
 using testutil::MakeSeededWorld;
 using testutil::SeededWorld;
 using testutil::WorldSpec;
@@ -36,17 +36,14 @@ using testutil::WorldSpec;
 struct ModeParam {
   const char* name;
   int minibatch;
-  SweepMode sweep;
   bool pruning;
 };
 
 const ModeParam kModes[] = {
-    {"serial", 0, SweepMode::kSerial, true},
-    {"serial-exact", 0, SweepMode::kSerial, false},
-    {"minibatch", 16, SweepMode::kSerial, true},
-    {"minibatch-exact", 16, SweepMode::kSerial, false},
-    {"parallel", 16, SweepMode::kParallelSnapshot, true},
-    {"parallel-exact", 16, SweepMode::kParallelSnapshot, false},
+    {"serial", 0, true},
+    {"serial-exact", 0, false},
+    {"minibatch", 16, true},
+    {"minibatch-exact", 16, false},
 };
 
 FairKMOptions OptionsFor(const ModeParam& mode) {
@@ -55,7 +52,6 @@ FairKMOptions OptionsFor(const ModeParam& mode) {
   options.lambda = 60.0;
   options.max_iterations = 12;
   options.minibatch_size = mode.minibatch;
-  options.sweep_mode = mode.sweep;
   options.enable_pruning = mode.pruning;
   return options;
 }

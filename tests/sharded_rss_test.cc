@@ -91,8 +91,6 @@ TEST(ShardedRssTest, TenXDatasetSweepsWithBoundedResidentSet) {
   options.lambda = -1.0;
   options.max_iterations = 2;
   options.minibatch_size = 8192;
-  options.sweep_mode = SweepMode::kParallelSnapshot;
-  options.num_threads = 2;
   options.enable_pruning = false;  // O(n k) bound arrays would defeat the test.
 
   ShardedSweep sweep =

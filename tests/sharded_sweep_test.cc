@@ -1,10 +1,10 @@
 // core::ShardedSweep — the out-of-core driver's one load-bearing promise is
 // that sharding and eviction are INVISIBLE to the optimization trajectory: a
 // sharded run over an mmap-backed store walks bit-identical assignments,
-// objective histories and pruning counters to an in-process
-// SweepMode::kParallelSnapshot run over the same rows with an equal seed.
-// This suite pins that equivalence (pruning on and off, cold init and warm
-// start, uninterrupted and cancel/resume), the shard-geometry rules, and the
+// objective histories and pruning counters to an in-process serial
+// mini-batch run over the same rows with an equal seed. This suite pins
+// that equivalence (pruning on and off, cold init and warm start,
+// uninterrupted and cancel/resume), the shard-geometry rules, and the
 // eviction telemetry.
 
 #include "core/sharded_sweep.h"
@@ -60,14 +60,12 @@ WorldSpec BigWorldSpec() {
   return spec;
 }
 
-FairKMOptions SnapshotOptions(bool pruning) {
+FairKMOptions MiniBatchOptions(bool pruning) {
   FairKMOptions options;
   options.k = 4;
   options.lambda = -1.0;  // auto (n/k)^2
   options.max_iterations = 6;
   options.minibatch_size = 32;
-  options.sweep_mode = SweepMode::kParallelSnapshot;
-  options.num_threads = 2;
   options.enable_pruning = pruning;
   return options;
 }
@@ -138,7 +136,7 @@ Trajectory RunInProcess(const SeededWorld& world, const FairKMOptions& options,
 TEST_F(ShardedSweepTest, BitIdenticalToInProcessSweepAcrossPruning) {
   const SeededWorld world = MakeSeededWorld(501, BigWorldSpec());
   for (const bool pruning : {true, false}) {
-    const FairKMOptions options = SnapshotOptions(pruning);
+    const FairKMOptions options = MiniBatchOptions(pruning);
     const Trajectory in_process = RunInProcess(world, options, 91);
 
     auto store = MmapStore(world.points,
@@ -158,7 +156,7 @@ TEST_F(ShardedSweepTest, BitIdenticalToInProcessSweepAcrossPruning) {
 
 TEST_F(ShardedSweepTest, MemoryStoreBackedSolverMatchesMatrixSolver) {
   const SeededWorld world = MakeSeededWorld(502, BigWorldSpec());
-  const FairKMOptions options = SnapshotOptions(/*pruning=*/true);
+  const FairKMOptions options = MiniBatchOptions(/*pruning=*/true);
   const Trajectory from_matrix = RunInProcess(world, options, 17);
 
   const auto store =
@@ -176,7 +174,7 @@ TEST_F(ShardedSweepTest, MemoryStoreBackedSolverMatchesMatrixSolver) {
 
 TEST_F(ShardedSweepTest, WarmStartIsBitIdenticalToo) {
   const SeededWorld world = MakeSeededWorld(503, BigWorldSpec());
-  const FairKMOptions options = SnapshotOptions(/*pruning=*/true);
+  const FairKMOptions options = MiniBatchOptions(/*pruning=*/true);
 
   FairKMSolver in_process =
       FairKMSolver::Create(&world.points, &world.sensitive, options)
@@ -195,7 +193,7 @@ TEST_F(ShardedSweepTest, WarmStartIsBitIdenticalToo) {
 
 TEST_F(ShardedSweepTest, CancelAndResumeReplaysTheUninterruptedRun) {
   const SeededWorld world = MakeSeededWorld(504, BigWorldSpec());
-  const FairKMOptions options = SnapshotOptions(/*pruning=*/true);
+  const FairKMOptions options = MiniBatchOptions(/*pruning=*/true);
   const Trajectory uninterrupted = RunInProcess(world, options, 43);
 
   auto store = MmapStore(world.points, Path("cancel.fkps"));
@@ -220,7 +218,7 @@ TEST_F(ShardedSweepTest, ShardGeometryRespectsBatchBoundaries) {
   auto store = MmapStore(world.points, Path("geometry.fkps"));
 
   // n = 200, minibatch 64 -> 4 batches: a 16-shard request clamps to 4.
-  FairKMOptions options = SnapshotOptions(/*pruning=*/true);
+  FairKMOptions options = MiniBatchOptions(/*pruning=*/true);
   options.minibatch_size = 64;
   {
     ShardedSweep sweep =
@@ -241,7 +239,7 @@ TEST_F(ShardedSweepTest, ShardGeometryRespectsBatchBoundaries) {
 
 TEST_F(ShardedSweepTest, EvictionTelemetryAndSessionReuse) {
   const SeededWorld world = MakeSeededWorld(506, BigWorldSpec());
-  const FairKMOptions options = SnapshotOptions(/*pruning=*/false);
+  const FairKMOptions options = MiniBatchOptions(/*pruning=*/false);
   auto store = MmapStore(world.points, Path("telemetry.fkps"));
 
   ShardedSweep sweep =
@@ -262,9 +260,42 @@ TEST_F(ShardedSweepTest, EvictionTelemetryAndSessionReuse) {
   ExpectIdentical(Capture(sweep.solver()), first, "re-Init replay");
 }
 
+// Every full sweep evicts every shard, whatever came before it: a sweep
+// cancelled part-way and a re-Init that moves the cursor back to 0 must not
+// leave the shards the cancelled sweep already passed resident.
+TEST_F(ShardedSweepTest, FullSweepAfterCancelAndReInitEvictsEveryShard) {
+  const SeededWorld world = MakeSeededWorld(509, BigWorldSpec());
+  FairKMOptions options = MiniBatchOptions(/*pruning=*/false);
+  options.minibatch_size = 8;  // n = 200: 25 batches over 8 shards.
+  auto store = MmapStore(world.points, Path("reinit.fkps"));
+  ShardedSweep sweep =
+      ShardedSweep::Create(store, &world.sensitive, options, 8).ValueOrDie();
+  const uint64_t num_shards = static_cast<uint64_t>(sweep.stats().num_shards);
+  ASSERT_GT(num_shards, 1u);
+
+  ASSERT_TRUE(sweep.Init(uint64_t{3}).ok());
+  int boundaries = 0;
+  const RunStop stop =
+      sweep.Run({}, [&boundaries](const SweepProgress&) {
+             return ++boundaries < 12;  // Past several shard ends, not all.
+           }).ValueOrDie();
+  ASSERT_EQ(stop, RunStop::kCancelled);
+  ASSERT_TRUE(sweep.solver().mid_sweep());
+  const uint64_t after_cancel = sweep.stats().evictions;
+  ASSERT_GT(after_cancel, 0u);
+  ASSERT_LT(after_cancel, num_shards);
+
+  ASSERT_TRUE(sweep.Init(uint64_t{3}).ok());
+  RunBudget one_sweep;
+  one_sweep.max_sweeps = 1;
+  ASSERT_TRUE(sweep.Run(one_sweep).ok());
+  ASSERT_EQ(sweep.solver().sweeps_completed(), 1);
+  EXPECT_EQ(sweep.stats().evictions - after_cancel, num_shards);
+}
+
 TEST_F(ShardedSweepTest, CreateRejectsBadInputs) {
   const SeededWorld world = MakeSeededWorld(507, BigWorldSpec());
-  const FairKMOptions options = SnapshotOptions(/*pruning=*/true);
+  const FairKMOptions options = MiniBatchOptions(/*pruning=*/true);
   auto store = MmapStore(world.points, Path("reject.fkps"));
 
   EXPECT_EQ(ShardedSweep::Create(nullptr, &world.sensitive, options)
@@ -279,14 +310,15 @@ TEST_F(ShardedSweepTest, CreateRejectsBadInputs) {
   EXPECT_EQ(ShardedSweep::Create(store, nullptr, options).status().code(),
             StatusCode::kInvalidArgument);
 
-  FairKMOptions serial = options;
-  serial.sweep_mode = SweepMode::kSerial;
-  serial.minibatch_size = 0;
-  const auto wrong_mode = ShardedSweep::Create(store, &world.sensitive, serial);
-  ASSERT_FALSE(wrong_mode.ok());
-  EXPECT_EQ(wrong_mode.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(wrong_mode.status().message().find("kParallelSnapshot"),
-            std::string::npos);
+  FairKMOptions unbatched = options;
+  unbatched.minibatch_size = 0;
+  const auto no_batches =
+      ShardedSweep::Create(store, &world.sensitive, unbatched);
+  ASSERT_FALSE(no_batches.ok());
+  EXPECT_EQ(no_batches.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(no_batches.status().message().find("minibatch_size > 0"),
+            std::string::npos)
+      << no_batches.status();
 
   FairKMOptions invalid = options;
   invalid.k = 0;
@@ -298,7 +330,7 @@ TEST_F(ShardedSweepTest, CreateRejectsBadInputs) {
 
 TEST_F(ShardedSweepTest, StoreBackedInitSupportsOnlyRandomAssignment) {
   const SeededWorld world = MakeSeededWorld(508, BigWorldSpec());
-  FairKMOptions options = SnapshotOptions(/*pruning=*/true);
+  FairKMOptions options = MiniBatchOptions(/*pruning=*/true);
   options.init = cluster::KMeansInit::kKMeansPlusPlus;
   auto store = MmapStore(world.points, Path("init.fkps"));
 

@@ -1,14 +1,13 @@
-// Long-running stress suite (ctest label: slow) — the delta kernels at the
-// scale the ISSUE-2 acceptance bar names: a 50,000-point world with 8
-// sensitive attributes (6 categorical, cardinalities 2..7, + 2 numeric).
+// Long-running stress suite (ctest label: slow) — the delta kernels on a
+// 50,000-point world with 8 sensitive attributes (6 categorical,
+// cardinalities 2..7, + 2 numeric).
 //
 // The incremental fast path is validated two ways:
 //   * objective accounting: the sum of every accepted move's DeltaKMeans /
 //     DeltaFairness, accumulated over a full randomized sweep, must agree
 //     with from-scratch recomputation of both terms to 1e-6 (relative);
-//   * optimizer end states: serial and snapshot-parallel FairKM sessions must
-//     agree with each other, and their reported terms must agree with
-//     scratch evaluation of the final assignment.
+//   * optimizer end state: a mini-batch FairKM session's reported terms
+//     must agree with scratch evaluation of its final assignment.
 
 #include <gtest/gtest.h>
 
@@ -114,37 +113,22 @@ TEST(StressScaling, SampledKernelsMatchReferenceAt50kPoints) {
   }
 }
 
-TEST(StressScaling, OptimizerAgreesAcrossSweepModesAt50kPoints) {
+// The optimizer's reported terms must match scratch evaluation of its final
+// assignment at 50k points — the fast path and the "naive" objective agree.
+TEST(StressScaling, OptimizerTermsMatchScratchEvaluationAt50kPoints) {
   const SeededWorld world = MakeSeededWorld(/*seed=*/3001, StressSpec());
 
-  core::FairKMOptions serial;
-  serial.k = world.k;
-  serial.max_iterations = 3;
-  serial.minibatch_size = 4096;
-  Rng serial_rng(3002);
-  auto serial_or =
-      RunFairKMSession(world.points, world.sensitive, serial, &serial_rng);
-  ASSERT_TRUE(serial_or.ok()) << serial_or.status().ToString();
-  const core::FairKMResult want = serial_or.MoveValueUnsafe();
+  core::FairKMOptions options;
+  options.k = world.k;
+  options.max_iterations = 3;
+  options.minibatch_size = 4096;
+  Rng rng(3002);
+  auto result_or =
+      RunFairKMSession(world.points, world.sensitive, options, &rng);
+  ASSERT_TRUE(result_or.ok()) << result_or.status().ToString();
+  const core::FairKMResult got = result_or.MoveValueUnsafe();
+  ASSERT_EQ(got.assignment.size(), world.points.rows());
 
-  core::FairKMOptions parallel = serial;
-  parallel.sweep_mode = core::SweepMode::kParallelSnapshot;
-  parallel.num_threads = 4;
-  Rng parallel_rng(3002);
-  auto parallel_or =
-      RunFairKMSession(world.points, world.sensitive, parallel, &parallel_rng);
-  ASSERT_TRUE(parallel_or.ok()) << parallel_or.status().ToString();
-  const core::FairKMResult got = parallel_or.MoveValueUnsafe();
-
-  EXPECT_EQ(got.assignment, want.assignment);
-  ASSERT_EQ(got.objective_history.size(), want.objective_history.size());
-  for (size_t s = 0; s < want.objective_history.size(); ++s) {
-    EXPECT_LT(Rel(got.objective_history[s], want.objective_history[s]), kTol)
-        << "sweep " << s;
-  }
-
-  // The optimizer's reported terms must match scratch evaluation of its
-  // final assignment — the fast path and the "naive" objective agree.
   const core::ObjectiveValue scratch = core::ComputeObjective(
       world.points, world.sensitive, got.assignment, world.k);
   EXPECT_LT(Rel(got.kmeans_term, scratch.kmeans_term), kTol);

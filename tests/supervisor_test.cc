@@ -1,5 +1,5 @@
 // core::SupervisedRunner — divergence watchdog, checkpoint rollback, and the
-// I/O demotion ladder.
+// mmap -> memory store demotion on repeated I/O faults.
 
 #include "core/supervisor.h"
 

@@ -53,11 +53,12 @@
 #      (tests/serve_assign_test.cc); only the scoring loop differs.
 #   7. Sharded-sweep overhead: BM_FairKM_SnapshotSweep_Sharded (mmap store +
 #      core::ShardedSweep eviction) vs BM_FairKM_SnapshotSweep_InProcess
-#      (matrix-backed solver, same options and seed, bit-identical
-#      trajectory) must stay within MAX_SHARDED_OVERHEAD (default 1.15) —
-#      out-of-core residency control is bought with madvise calls and page
-#      refaults, not with a slower sweep. Store materialization is excluded
-#      (the store is built once outside the timed loop).
+#      (matrix-backed solver; both run the serial mini-batch sweep at the
+#      same options and seed, bit-identical trajectory) must stay within
+#      MAX_SHARDED_OVERHEAD (default 1.15) — out-of-core residency control
+#      is bought with madvise calls and page refaults, not with a slower
+#      sweep. Store materialization is excluded (the store is built once
+#      outside the timed loop).
 #   8. Online admit throughput: the points_per_sec counter of
 #      BM_Online_Admit (live Eq. 1 insertion scoring + store append + state
 #      adoption + dataset-distribution refresh, batches of 64 against a
@@ -97,7 +98,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-bench}
 OUT=${OUT:-BENCH_scaling.json}
-FILTER=${FILTER:-'Assign_|SweepCandidates|FairKM_AllAttributes|FairKM_MiniBatch|FairKM_MultiSeed|FairKM_ParallelSweep|FairKM_SnapshotSweep|FairKM_Sweep|MoveDeltaEvaluation|KernelGemv|KernelCatMoments|ActiveKernelBackend|BuildConfig|Online_|Silhouette_Scalar|Silhouette_Dispatch'}
+FILTER=${FILTER:-'Assign_|SweepCandidates|FairKM_AllAttributes|FairKM_MiniBatch|FairKM_MultiSeed|FairKM_SnapshotSweep|FairKM_Sweep|MoveDeltaEvaluation|KernelGemv|KernelCatMoments|ActiveKernelBackend|BuildConfig|Online_|Silhouette_Scalar|Silhouette_Dispatch'}
 MIN_TIME=${MIN_TIME:-0.2}
 MIN_SPEEDUP=${MIN_SPEEDUP:-2.0}
 MIN_SIMD_RATIO=${MIN_SIMD_RATIO:-0.9}
@@ -238,7 +239,8 @@ jq -e --argjson min "$MIN_ASSIGN_SPEEDUP" '
 ' "$OUT"
 
 # Gate 7: the sharded out-of-core sweep walks the same trajectory as the
-# in-process snapshot sweep (tests/sharded_sweep_test.cc pins bit-identity);
+# in-process serial mini-batch sweep (tests/sharded_sweep_test.cc pins
+# bit-identity);
 # this gate bounds what the residency control COSTS. Eviction counters are
 # recorded in the sharded entry for trend tracking.
 jq -e --argjson max "$MAX_SHARDED_OVERHEAD" '

@@ -3,8 +3,8 @@
 # check, an explicit fault-injection/durability gate, the supervisor and online drift gates,
 # the end-to-end benchmark's smoke test, then an ASan/UBSan build of the
 # unit+integration suites and a TSan build of the suites that exercise the
-# parallel sweep, the thread pool, the serving tier, the online engine and
-# the multi-threaded silhouette.
+# thread pool, the solver, the serving tier, the online engine and the
+# multi-threaded silhouette.
 #
 #   tools/check.sh            # everything
 #   tools/check.sh --fast     # skip the sanitizer passes
@@ -106,7 +106,7 @@ cmake -B "$SAN_BUILD_DIR" -S . \
 cmake --build "$SAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -j "$JOBS" -L 'unit|integration'
 
-echo "== sanitizers: TSan parallel-sweep, thread-pool, serving, online + silhouette suites (${TSAN_BUILD_DIR}) =="
+echo "== sanitizers: TSan thread-pool, solver, serving, online + silhouette suites (${TSAN_BUILD_DIR}) =="
 cmake -B "$TSAN_BUILD_DIR" -S . \
   -DFAIRKM_SANITIZE_THREAD=ON \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -114,6 +114,6 @@ cmake -B "$TSAN_BUILD_DIR" -S . \
   -DFAIRKM_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'FairKMParallel|ThreadPool|FairKMCrossCheck.ParallelSnapshot|StressScaling.Optimizer|Pruning|FairKMSolver|Serve|RetryPolicy|Online|Silhouette'
+  -R 'ThreadPool|StressScaling.Optimizer|Pruning|FairKMSolver|Serve|RetryPolicy|Online|Silhouette'
 
 echo "== all checks passed =="

@@ -86,9 +86,6 @@ core::FairKMOptions TrainOptions() {
   core::FairKMOptions options;
   options.k = kK;
   options.max_iterations = 12;
-  // Serial sweep: the trainer child is a fork, so it must not depend on
-  // thread state from the parent (and must not spawn pools of its own).
-  options.sweep_mode = core::SweepMode::kSerial;
   return options;
 }
 

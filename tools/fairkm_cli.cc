@@ -99,7 +99,6 @@ Status ServeBench(const ArgParser& args) {
   // The publish cadence is the mini-batch boundary; a serving trainer without
   // mini-batching would republish only once per sweep.
   if (options.minibatch_size <= 0) options.minibatch_size = 256;
-  options.num_threads = static_cast<int>(args.GetInt("threads"));
   options.enable_pruning = !args.GetBool("no-prune");
   if (const int cap = static_cast<int>(args.GetInt("max-iterations")); cap > 0) {
     options.max_iterations = cap;
@@ -527,23 +526,12 @@ Status Run(const ArgParser& args) {
       options.max_iterations = cap;
     }
     options.minibatch_size = static_cast<int>(args.GetInt("minibatch"));
-    options.num_threads = static_cast<int>(args.GetInt("threads"));
     options.enable_pruning = !args.GetBool("no-prune");
-    const std::string sweep = ToLower(args.GetString("sweep"));
-    if (sweep == "parallel") {
-      options.sweep_mode = core::SweepMode::kParallelSnapshot;
-      if (options.minibatch_size <= 0) {
-        return Status::InvalidArgument(
-            "--sweep parallel requires --minibatch > 0");
-      }
-    } else if (sweep != "serial") {
-      return Status::InvalidArgument("--sweep must be serial or parallel");
-    }
     FAIRKM_ASSIGN_OR_RETURN(data::PointStoreSpec store_spec,
                             data::PointStoreSpec::Parse(args.GetString("store")));
     if (args.GetBool("supervise")) {
       // Self-healing runtime (core/supervisor.h): divergence watchdog,
-      // checkpoint rollback, and the I/O demotion ladder around the run.
+      // checkpoint rollback, and the I/O store demotion around the run.
       // Works with either store backend (the supervised session drives the
       // store-backed solver directly, not the sharded driver).
       core::SupervisorPolicy policy;
@@ -573,10 +561,9 @@ Status Run(const ArgParser& args) {
                   "stall %d, io %d)\n",
                   stats.rollbacks, stats.nonfinite_faults,
                   stats.regression_faults, stats.stall_faults, stats.io_faults);
-      std::printf("supervisor: demotions store %d / pruning %d / parallel %d, "
-                  "%d checkpoints saved, %llu dir-fsync failures\n",
-                  stats.store_demotions, stats.pruning_demotions,
-                  stats.parallel_demotions, stats.checkpoints_saved,
+      std::printf("supervisor: store demotions %d, %d checkpoints saved, "
+                  "%llu dir-fsync failures\n",
+                  stats.store_demotions, stats.checkpoints_saved,
                   static_cast<unsigned long long>(stats.dir_fsync_failures));
       FAIRKM_ASSIGN_OR_RETURN(core::FairKMResult fair_result,
                               runner.CurrentResult());
@@ -588,10 +575,10 @@ Status Run(const ArgParser& args) {
       // aligned store file, map it read-only, and drive the sharded sweep —
       // the dataset pages stream through the page cache instead of living
       // on the heap, and each shard is evicted as the cursor passes it.
-      if (options.sweep_mode != core::SweepMode::kParallelSnapshot) {
+      if (options.minibatch_size <= 0) {
         return Status::InvalidArgument(
-            "--store=mmap:<path> requires --sweep parallel and --minibatch > 0 "
-            "(the sharded driver runs over the snapshot batch engine)");
+            "--store=mmap:<path> requires --minibatch > 0 (the sharded "
+            "driver's shards are whole mini-batches)");
       }
       FAIRKM_ASSIGN_OR_RETURN(std::shared_ptr<const data::PointStore> store,
                               data::PointStore::Create(matrix, store_spec));
@@ -685,15 +672,13 @@ int main(int argc, char** argv) {
                "optimizer iteration cap (0 = method default: fairkm/zgya 30, "
                "kmeans 100)");
   args.AddFlag("minibatch", "0", "prototype refresh batch (0 = every move)");
-  args.AddFlag("sweep", "serial", "candidate evaluation: serial | parallel");
-  args.AddFlag("threads", "0", "parallel sweep workers (0 = hardware)");
   args.AddFlag("no-prune", "false",
                "disable bound-gated candidate pruning (exact sweep; "
                "FAIRKM_DISABLE_PRUNING=1 does the same)");
   args.AddFlag("store", "mem",
                "fairkm point storage: mem | mmap:<path> (write the aligned "
                "store file once, map it read-only, run the out-of-core "
-               "sharded sweep; requires --sweep parallel)");
+               "sharded sweep; requires --minibatch > 0)");
   args.AddFlag("shards", "0",
                "fairkm --store=mmap: shards for the out-of-core sweep, each "
                "evicted from the page cache as the sweep passes it (0 = auto)");
@@ -712,8 +697,9 @@ int main(int argc, char** argv) {
                "--checkpoint-dir before running (corrupt files are skipped)");
   args.AddFlag("supervise", "false",
                "fairkm: run under the self-healing supervisor (divergence "
-               "watchdog, rollback to the last good checkpoint, I/O demotion "
-               "ladder); combine with --checkpoint-dir for durable rollback");
+               "watchdog, rollback to the last good checkpoint, mmap -> "
+               "memory store demotion on repeated I/O faults); combine with "
+               "--checkpoint-dir for durable rollback");
   args.AddFlag("max-rollbacks", "3",
                "supervise: recoveries allowed before the run fails");
   args.AddFlag("stall-timeout-ms", "0",

@@ -47,7 +47,7 @@ struct CurvePoint {
 };
 
 Result<CurvePoint> RunOne(size_t n, size_t d, int k, int minibatch, int shards,
-                          int sweeps, int threads, const std::string& path) {
+                          int sweeps, const std::string& path) {
   CurvePoint point;
   point.rows = n;
   point.dim = d;
@@ -91,8 +91,6 @@ Result<CurvePoint> RunOne(size_t n, size_t d, int k, int minibatch, int shards,
   options.lambda = -1.0;
   options.max_iterations = sweeps;
   options.minibatch_size = minibatch;
-  options.sweep_mode = core::SweepMode::kParallelSnapshot;
-  options.num_threads = threads;
   options.enable_pruning = false;  // O(n k) bounds would re-enter the heap
 
   Timer sweep_timer;
@@ -148,7 +146,6 @@ int Main(int argc, const char* const* argv) {
   args.AddFlag("minibatch", "8192", "mini-batch size (prototype refresh)");
   args.AddFlag("shards", "16", "shard count for the out-of-core sweep");
   args.AddFlag("sweeps", "2", "sweeps per run");
-  args.AddFlag("threads", "2", "worker threads for the snapshot sweep");
   args.AddFlag("dir", "/tmp/fairkm_sharded_scaling",
                "scratch directory for the store files");
   args.AddFlag("out", "sharded_scaling.json", "output JSON path");
@@ -194,8 +191,7 @@ int Main(int argc, const char* const* argv) {
         static_cast<int>(args.GetInt("k")),
         static_cast<int>(args.GetInt("minibatch")),
         static_cast<int>(args.GetInt("shards")),
-        static_cast<int>(args.GetInt("sweeps")),
-        static_cast<int>(args.GetInt("threads")), path);
+        static_cast<int>(args.GetInt("sweeps")), path);
     if (!args.GetBool("keep-stores")) std::remove(path.c_str());
     if (!point.ok()) {
       std::fprintf(stderr, "n = %zu failed: %s\n", n,
