@@ -52,6 +52,7 @@ struct ClustererOptions {
   int max_iterations = 0;
   /// Initialization override; unset = method default (K-Means: k-means++,
   /// FairKM/ZGYA: random assignment — the paper's Algorithm 1 step 1).
+  /// FairKM accepts only kRandomAssignment.
   std::optional<KMeansInit> init;
   /// Single-attribute methods (zgya*, optionally fairkm): restrict to this
   /// categorical sensitive attribute of the view passed to Cluster(). Empty

@@ -8,12 +8,12 @@ namespace fairkm {
 namespace cluster {
 namespace {
 
-Status CheckInputs(const data::Matrix& points, int k) {
+Status CheckInputs(size_t n, int k) {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (points.rows() == 0) return Status::InvalidArgument("no points to cluster");
-  if (static_cast<size_t>(k) > points.rows()) {
+  if (n == 0) return Status::InvalidArgument("no points to cluster");
+  if (static_cast<size_t>(k) > n) {
     return Status::InvalidArgument("k (" + std::to_string(k) + ") exceeds point count (" +
-                                   std::to_string(points.rows()) + ")");
+                                   std::to_string(n) + ")");
   }
   return Status::OK();
 }
@@ -52,7 +52,7 @@ void RepairEmptyClusters(const data::Matrix& points, data::Matrix* centroids,
 
 Result<data::Matrix> KMeansPlusPlusCenters(const data::Matrix& points, int k,
                                            Rng* rng) {
-  FAIRKM_RETURN_NOT_OK(CheckInputs(points, k));
+  FAIRKM_RETURN_NOT_OK(CheckInputs(points.rows(), k));
   const size_t n = points.rows();
   const size_t d = points.cols();
   data::Matrix centers(static_cast<size_t>(k), d);
@@ -117,7 +117,7 @@ size_t AssignToNearest(const data::Matrix& points, const data::Matrix& centers,
 }
 
 Result<Assignment> MakeRandomAssignment(size_t n, int k, Rng* rng) {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
+  FAIRKM_RETURN_NOT_OK(CheckInputs(n, k));
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
   Assignment assignment(n);
   for (size_t i = 0; i < n; ++i) {
@@ -128,7 +128,7 @@ Result<Assignment> MakeRandomAssignment(size_t n, int k, Rng* rng) {
 
 Result<Assignment> MakeInitialAssignment(const data::Matrix& points, int k,
                                          KMeansInit init, Rng* rng) {
-  FAIRKM_RETURN_NOT_OK(CheckInputs(points, k));
+  FAIRKM_RETURN_NOT_OK(CheckInputs(points.rows(), k));
   const size_t n = points.rows();
   Assignment assignment;
   switch (init) {
@@ -155,7 +155,7 @@ Result<Assignment> MakeInitialAssignment(const data::Matrix& points, int k,
 
 Result<ClusteringResult> RunKMeans(const data::Matrix& points,
                                    const KMeansOptions& options, Rng* rng) {
-  FAIRKM_RETURN_NOT_OK(CheckInputs(points, options.k));
+  FAIRKM_RETURN_NOT_OK(CheckInputs(points.rows(), options.k));
   const int k = options.k;
 
   ClusteringResult result;

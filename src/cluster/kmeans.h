@@ -49,10 +49,11 @@ Result<Assignment> MakeInitialAssignment(const data::Matrix& points, int k,
                                          KMeansInit init, Rng* rng);
 
 /// \brief The kRandomAssignment strategy without the matrix: depends only on
-/// (n, k, rng draws), so store-backed sessions (out-of-core PointStore runs
-/// with no data::Matrix in memory) draw the SAME initial assignment as a
-/// matrix-backed session with an equal seed. MakeInitialAssignment's
-/// kRandomAssignment branch routes through this.
+/// (n, k, rng draws), which is how FairKM sessions over a PointStore start
+/// (core::FairKMSolver::Init). MakeInitialAssignment's kRandomAssignment
+/// branch routes through this, so both draw the same assignment from an
+/// equal seed. Same input checks as MakeInitialAssignment: kInvalidArgument
+/// when n is 0 or k is outside [1, n].
 Result<Assignment> MakeRandomAssignment(size_t n, int k, Rng* rng);
 
 }  // namespace cluster

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/kmeans.h"
 #include "cluster/types.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -35,10 +34,9 @@ struct FairKMOptions {
   /// Fairness weight lambda of Eq. 1. Negative means "auto": the paper's §5.4
   /// heuristic lambda = (n/k)^2.
   double lambda = -1.0;
-  /// The paper uses 30 for its empirical study (§5.4).
+  /// The paper uses 30 for its empirical study (§5.4). Every run starts from
+  /// a uniform random assignment (Algorithm 1 step 1) or a warm start.
   int max_iterations = 30;
-  /// Paper Algorithm 1 step 1 initializes clusters randomly.
-  cluster::KMeansInit init = cluster::KMeansInit::kRandomAssignment;
   /// Fairness-term construction knobs (ablations; paper defaults).
   FairnessTermConfig fairness;
   /// Mini-batch prototype updates (§6.1): 0 = update after every move

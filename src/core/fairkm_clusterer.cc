@@ -123,7 +123,13 @@ void EnsureFairKMClustererRegistered() {
           if (generic.max_iterations > 0) {
             options.max_iterations = generic.max_iterations;
           }
-          if (generic.init) options.init = *generic.init;
+          // Algorithm 1 step 1 is the only initialization a session runs.
+          if (generic.init &&
+              *generic.init != cluster::KMeansInit::kRandomAssignment) {
+            return Status::InvalidArgument(
+                "fairkm starts from a random assignment; init must be unset "
+                "or kRandomAssignment");
+          }
           return std::unique_ptr<cluster::Clusterer>(
               new FairKMClusterer(options, generic.attribute));
         })

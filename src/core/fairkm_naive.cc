@@ -1,5 +1,7 @@
 #include "core/fairkm_naive.h"
 
+#include "cluster/kmeans.h"
+
 namespace fairkm {
 namespace core {
 
@@ -23,7 +25,9 @@ Result<FairKMResult> RunFairKMNaive(const data::Matrix& points,
 
   FAIRKM_ASSIGN_OR_RETURN(
       cluster::Assignment assignment,
-      cluster::MakeInitialAssignment(points, k, options.init, rng));
+      cluster::MakeInitialAssignment(points, k,
+                                     cluster::KMeansInit::kRandomAssignment,
+                                     rng));
 
   FairKMResult result;
   result.lambda_used = lambda;

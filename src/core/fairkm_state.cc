@@ -32,22 +32,10 @@ size_t ResidencyChunkRows(size_t stride) {
 
 }  // namespace
 
-FairKMState::FairKMState(const data::Matrix* points,
-                         const data::SensitiveView* sensitive, int k,
-                         FairnessTermConfig config)
-    : points_(points),
-      sensitive_(sensitive),
-      k_(k),
-      n_(points->rows()),
-      d_(points->cols()),
-      stride_(data::PaddedStride(points->cols())),
-      config_(config) {}
-
 FairKMState::FairKMState(std::shared_ptr<const data::PointStore> store,
                          const data::SensitiveView* sensitive, int k,
                          FairnessTermConfig config)
-    : points_(nullptr),
-      sensitive_(sensitive),
+    : sensitive_(sensitive),
       k_(k),
       n_(store->rows()),
       d_(store->cols()),
@@ -59,21 +47,9 @@ Result<FairKMState> FairKMState::Create(const data::Matrix* points,
                                         const data::SensitiveView* sensitive, int k,
                                         cluster::Assignment initial,
                                         FairnessTermConfig config) {
-  if (points == nullptr || sensitive == nullptr) {
-    return Status::InvalidArgument("points/sensitive must not be null");
-  }
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  FAIRKM_RETURN_NOT_OK(cluster::ValidateAssignment(initial, points->rows(), k));
-  // Full structural audit, not just num_rows() (which reads only the first
-  // attribute): every attribute's length, fraction table and code range —
-  // BuildAggregates indexes all of them unchecked.
-  FAIRKM_RETURN_NOT_OK(sensitive->Validate(points->rows()));
-  // The aligned point store about to be built streams these coordinates
-  // through every kernel unchecked — refuse NaN/Inf here, at the boundary.
-  FAIRKM_RETURN_NOT_OK(data::ValidateFinite(*points, "points"));
-  FairKMState state(points, sensitive, k, config);
-  state.BuildAggregates(std::move(initial));
-  return state;
+  if (points == nullptr) return Status::InvalidArgument("points must not be null");
+  return Create(std::make_shared<const data::PointStore>(*points), sensitive, k,
+                std::move(initial), config);
 }
 
 Result<FairKMState> FairKMState::Create(
@@ -88,11 +64,14 @@ Result<FairKMState> FairKMState::Create(
   }
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   FAIRKM_RETURN_NOT_OK(cluster::ValidateAssignment(initial, store->rows(), k));
+  // Full structural audit, not just num_rows() (which reads only the first
+  // attribute): every attribute's length, fraction table and code range —
+  // BuildAggregates indexes all of them unchecked.
   FAIRKM_RETURN_NOT_OK(sensitive->Validate(store->rows()));
-  // Same boundary rule as the matrix path: kernels stream these rows
-  // unchecked. A store Open()ed from disk passed its CRC walk, but the CRC
-  // only proves the bytes are what the writer streamed — this rejects a
-  // store whose writer was fed NaN/Inf (RSS-bounded scan, evicts behind).
+  // The kernels stream these rows unchecked — refuse NaN/Inf here, at the
+  // boundary. A store Open()ed from disk passed its CRC walk, but the CRC
+  // only proves the bytes are what the writer streamed (RSS-bounded scan,
+  // evicts behind).
   FAIRKM_RETURN_NOT_OK(data::ValidateFiniteStore(*store, "points"));
   FairKMState state(std::move(store), sensitive, k, config);
   state.BuildAggregates(std::move(initial));
@@ -101,15 +80,9 @@ Result<FairKMState> FairKMState::Create(
 
 void FairKMState::BuildAggregates(cluster::Assignment initial) {
   assignment_ = std::move(initial);
-  // Immutable caches (aligned store, per-point norms): built once per
-  // (points, state) pair; a Reset over the same points skips the O(n d)
-  // copy and the allocations entirely — the multi-seed fast path. A
-  // store-backed state arrives with store_ already set (possibly mmap) and
-  // only needs the norm cache.
-  if (store_ == nullptr || store_->rows() != n_ || store_->cols() != d_) {
-    store_ = std::make_shared<data::PointStore>(*points_);
-    point_norms_.clear();
-  }
+  // The per-point norm cache is immutable: built once per state; a Reset
+  // over the same rows skips the O(n d) pass and its allocation — the
+  // multi-seed fast path.
   const size_t chunk_rows = ResidencyChunkRows(stride_);
   if (point_norms_.size() != n_) {
     point_norms_.assign(n_, 0.0);
@@ -193,11 +166,6 @@ Status FairKMState::Reset(cluster::Assignment initial) {
 }
 
 Status FairKMState::AdmitAppended(int to) {
-  if (points_ != nullptr) {
-    return Status::InvalidArgument(
-        "AdmitAppended needs a store-backed state (the matrix overload's "
-        "private store cannot grow)");
-  }
   if (to < 0 || to >= k_) {
     return Status::InvalidArgument("admit target cluster " +
                                    std::to_string(to) + " out of range");
@@ -243,10 +211,6 @@ Status FairKMState::AdmitAppended(int to) {
 }
 
 Status FairKMState::RetireSwapped(size_t r) {
-  if (points_ != nullptr) {
-    return Status::InvalidArgument(
-        "RetireSwapped needs a store-backed state");
-  }
   if (r >= n_) {
     return Status::InvalidArgument("retire row " + std::to_string(r) +
                                    " out of range (n = " + std::to_string(n_) +
@@ -301,10 +265,6 @@ void FairKMState::RefreshDatasetStats() {
 }
 
 Status FairKMState::RebuildFromStore(cluster::Assignment initial) {
-  if (points_ != nullptr) {
-    return Status::InvalidArgument(
-        "RebuildFromStore needs a store-backed state");
-  }
   if (store_->empty()) {
     return Status::InvalidArgument("point store must not be empty");
   }
@@ -522,9 +482,8 @@ void FairKMState::EnableBoundTracking(bool enable) {
 }
 
 double FairKMState::DistanceToMean(size_t i, const double* sums, double count) const {
-  // Store rows carry the same first d_ coordinates as the source matrix
-  // (padding lanes are untouched here), so this stays bit-identical to the
-  // historical matrix read and works for store-backed states too.
+  // Only the first d_ lanes: there the store rows equal the source rows, so
+  // this matches a scratch read of the matrix bit for bit.
   const double* row = store_->Row(i);
   const double inv = 1.0 / count;
   double total = 0.0;
@@ -954,9 +913,8 @@ void FairKMState::Move(size_t i, int to) {
 double FairKMState::KMeansTerm() const {
   data::Matrix centroids = Centroids();
   // Same accumulation order as cluster::SumOfSquaredErrors over the source
-  // matrix — store rows equal matrix rows in the first d_ lanes — but read
-  // from the store so store-backed (matrix-free) states get the identical
-  // value.
+  // matrix (store rows equal matrix rows in the first d_ lanes), so the two
+  // agree bit for bit.
   double sse = 0.0;
   const size_t chunk_rows = ResidencyChunkRows(stride_);
   for (size_t base = 0; base < n_; base += chunk_rows) {

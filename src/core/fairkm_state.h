@@ -16,7 +16,7 @@
 // k x stride sums matrix, which is what the optimizer sweep uses.
 //
 // Hot-path storage is the aligned, lane-padded layout of
-// data/point_store.h: the feature matrix is copied once into a PointStore
+// data/point_store.h: the state reads its rows from a PointStore
 // (32-byte-aligned rows, stride a multiple of 4 doubles, zero padding) and
 // the k x stride sums / prototype buffers use the same stride, so the dense
 // primitives run the backends' aligned no-tail fast path (GemvAligned).
@@ -82,21 +82,21 @@ namespace core {
 
 /// \brief Mutable aggregates backing the round-robin optimization (§4.2).
 ///
-/// The referenced points/sensitive views must outlive the state.
+/// The state shares ownership of its PointStore; the referenced sensitive
+/// view must outlive it.
 class FairKMState {
  public:
-  /// \brief Builds aggregates for an initial assignment. `sensitive` may be
-  /// empty (state degenerates to incremental K-Means bookkeeping).
+  /// \brief Copies `points` into an in-memory PointStore and delegates to
+  /// the store overload.
   static Result<FairKMState> Create(const data::Matrix* points,
                                     const data::SensitiveView* sensitive, int k,
                                     cluster::Assignment initial,
                                     FairnessTermConfig config = {});
 
-  /// \brief Store-backed variant: aggregates read directly from an existing
-  /// PointStore (any backend — this is how out-of-core mmap stores enter the
-  /// optimizer) and no data::Matrix is retained. Behavior is bit-identical
-  /// to the matrix overload built over the same rows: the matrix path copies
-  /// into an identical store before the first kernel pass anyway.
+  /// \brief Builds aggregates for an initial assignment over a non-empty,
+  /// finite PointStore of any backend (this is how out-of-core mmap stores
+  /// enter the optimizer). `sensitive` may be empty (the state degenerates
+  /// to incremental K-Means bookkeeping).
   static Result<FairKMState> Create(
       std::shared_ptr<const data::PointStore> store,
       const data::SensitiveView* sensitive, int k,
@@ -142,10 +142,9 @@ class FairKMState {
   /// points/sensitive/k and the same snapshot/bound-tracking modes.
   Status RestoreCheckpoint(const Checkpoint& cp);
 
-  // --- Online growth hooks (src/online/). All three require a store-backed
-  // state (the matrix overload's private store cannot grow) whose backing
-  // PointStore the caller mutates under its own serialization — never while
-  // a sweep, a snapshot export, or any other reader is in flight.
+  // --- Online growth hooks (src/online/). The caller mutates the backing
+  // PointStore (a growable kMemory one) under its own serialization — never
+  // while a sweep, a snapshot export, or any other reader is in flight.
 
   /// \brief Folds one just-appended point into the aggregates: the backing
   /// store AND the sensitive view must already hold num_rows()+1 rows, and
@@ -341,8 +340,6 @@ class FairKMState {
   const FairnessTermConfig& config() const { return config_; }
 
  private:
-  FairKMState(const data::Matrix* points, const data::SensitiveView* sensitive, int k,
-              FairnessTermConfig config);
   FairKMState(std::shared_ptr<const data::PointStore> store,
               const data::SensitiveView* sensitive, int k,
               FairnessTermConfig config);
@@ -374,9 +371,6 @@ class FairKMState {
   double CachedDistanceToMean(size_t i, const double* sums, double sum_norm,
                               double count) const;
 
-  // Null for store-backed states: every read goes through store_, the
-  // matrix is only needed to (re)build the store on the matrix path.
-  const data::Matrix* points_;
   const data::SensitiveView* sensitive_;
   int k_;
   size_t n_;
@@ -385,9 +379,8 @@ class FairKMState {
   FairnessTermConfig config_;
 
   // Aligned, lane-padded rows — the layout every hot kernel streams (see
-  // data/point_store.h). On the matrix path this is a private copy of
-  // *points_; on the store-backed path it is the caller's store (possibly
-  // an mmap-backed one shared across sessions).
+  // data/point_store.h), possibly an mmap-backed store shared across
+  // sessions.
   std::shared_ptr<const data::PointStore> store_;
 
   cluster::Assignment assignment_;

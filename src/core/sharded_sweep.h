@@ -1,6 +1,6 @@
 // ShardedSweep — out-of-core mini-batch sweep driver over a PointStore.
 //
-// Wraps a store-backed FairKMSolver (core/solver.h) and partitions the row
+// Wraps a FairKMSolver (core/solver.h) and partitions its store's row
 // range into contiguous shards, each a whole number of mini-batches. The
 // sweep itself is the solver's serial mini-batch engine (§6.1): within
 // every mini-batch each point's K-Means deltas are scored against the
@@ -64,8 +64,8 @@ class ShardedSweep {
   ShardedSweep(ShardedSweep&&) noexcept = default;
   ShardedSweep& operator=(ShardedSweep&&) noexcept = default;
 
-  /// \brief Forwarded to FairKMSolver::Init (store-backed sessions accept
-  /// kRandomAssignment or a warm start).
+  /// \brief Forwarded to FairKMSolver::Init (a random assignment drawn from
+  /// the seed/rng, or a warm start).
   Status Init(Rng* rng) { return solver_.Init(rng); }
   Status Init(uint64_t seed) { return solver_.Init(seed); }
   Status Init(cluster::Assignment warm_start) {

@@ -13,33 +13,10 @@
 namespace fairkm {
 namespace core {
 
-FairKMSolver::FairKMSolver(const data::Matrix* points,
-                           const data::SensitiveView* sensitive,
-                           FairKMOptions options)
-    : points_(points),
-      sensitive_(sensitive),
-      options_(options),
-      n_(points->rows()),
-      cols_(points->cols()),
-      lambda_(options.lambda < 0 ? SuggestLambda(points->rows(), options.k)
-                                 : options.lambda),
-      minibatch_(options.minibatch_size > 0),
-      // Hoisted batch size: one full sweep is a single "batch" without
-      // mini-batching, so the sweep engine is uniform across modes.
-      batch_size_(options.minibatch_size > 0
-                      ? static_cast<size_t>(options.minibatch_size)
-                      : points->rows()),
-      // Bound-gated pruning (core/pruning.h): on unless the options or the
-      // FAIRKM_DISABLE_PRUNING escape hatch turn it off. k = 1 has no
-      // candidate moves to gate, so skip the bookkeeping entirely.
-      pruning_(options.enable_pruning && !PruningDisabledByEnv() &&
-               options.k > 1) {}
-
 FairKMSolver::FairKMSolver(std::shared_ptr<const data::PointStore> store,
                            const data::SensitiveView* sensitive,
                            FairKMOptions options)
-    : points_(nullptr),
-      store_(std::move(store)),
+    : store_(std::move(store)),
       sensitive_(sensitive),
       options_(options),
       n_(store_->rows()),
@@ -47,26 +24,23 @@ FairKMSolver::FairKMSolver(std::shared_ptr<const data::PointStore> store,
       lambda_(options.lambda < 0 ? SuggestLambda(store_->rows(), options.k)
                                  : options.lambda),
       minibatch_(options.minibatch_size > 0),
+      // Hoisted batch size: one full sweep is a single "batch" without
+      // mini-batching, so the sweep engine is uniform across modes.
       batch_size_(options.minibatch_size > 0
                       ? static_cast<size_t>(options.minibatch_size)
                       : store_->rows()),
+      // Bound-gated pruning (core/pruning.h): on unless the options or the
+      // FAIRKM_DISABLE_PRUNING escape hatch turn it off. k = 1 has no
+      // candidate moves to gate, so skip the bookkeeping entirely.
       pruning_(options.enable_pruning && !PruningDisabledByEnv() &&
                options.k > 1) {}
 
 Result<FairKMSolver> FairKMSolver::Create(const data::Matrix* points,
                                           const data::SensitiveView* sensitive,
                                           const FairKMOptions& options) {
-  if (points == nullptr || sensitive == nullptr) {
-    return Status::InvalidArgument("points/sensitive must not be null");
-  }
-  // Catch NaN/Inf coordinates before the session binds them: once inside
-  // the aligned point store they would silently poison every aggregate.
-  FAIRKM_RETURN_NOT_OK(data::ValidateFinite(*points, "points"));
-  // One validity surface for the options (FairKMOptions::Validate). It
-  // checks k before anything that would reach SuggestLambda, whose k > 0
-  // DCHECK would abort first in debug builds.
-  FAIRKM_RETURN_NOT_OK(options.Validate());
-  return FairKMSolver(points, sensitive, options);
+  if (points == nullptr) return Status::InvalidArgument("points must not be null");
+  return Create(std::make_shared<const data::PointStore>(*points), sensitive,
+                options);
 }
 
 Result<FairKMSolver> FairKMSolver::Create(
@@ -78,33 +52,21 @@ Result<FairKMSolver> FairKMSolver::Create(
   if (store->empty()) {
     return Status::InvalidArgument("store must not be empty");
   }
-  // The store's checksums prove the bytes survived the round trip, not that
-  // the payload was finite; scan here exactly as the matrix path does.
+  // Catch NaN/Inf coordinates before the session binds them: the kernels
+  // stream these rows unchecked, and a store's checksums prove only that the
+  // bytes survived the round trip, not that the payload was finite.
   FAIRKM_RETURN_NOT_OK(data::ValidateFiniteStore(*store, "points"));
+  // One validity surface for the options (FairKMOptions::Validate). It
+  // checks k before anything that would reach SuggestLambda, whose k > 0
+  // DCHECK would abort first in debug builds.
   FAIRKM_RETURN_NOT_OK(options.Validate());
   return FairKMSolver(std::move(store), sensitive, options);
 }
 
 Status FairKMSolver::Init(Rng* rng) {
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
-  if (points_ == nullptr) {
-    // Store-backed session: only the paper's random-assignment init is
-    // available (the other strategies score candidate centers against the
-    // full matrix). MakeRandomAssignment draws exactly what the matrix path
-    // draws, so equal seeds keep the two backends bit-identical.
-    if (options_.init != cluster::KMeansInit::kRandomAssignment) {
-      return Status::InvalidArgument(
-          "store-backed sessions support only KMeansInit::kRandomAssignment "
-          "(or a warm-start assignment)");
-    }
-    FAIRKM_ASSIGN_OR_RETURN(
-        cluster::Assignment initial,
-        cluster::MakeRandomAssignment(n_, options_.k, rng));
-    return Init(std::move(initial));
-  }
-  FAIRKM_ASSIGN_OR_RETURN(
-      cluster::Assignment initial,
-      cluster::MakeInitialAssignment(*points_, options_.k, options_.init, rng));
+  FAIRKM_ASSIGN_OR_RETURN(cluster::Assignment initial,
+                          cluster::MakeRandomAssignment(n_, options_.k, rng));
   return Init(std::move(initial));
 }
 
@@ -115,24 +77,14 @@ Status FairKMSolver::Init(uint64_t seed) {
 
 Status FairKMSolver::Init(cluster::Assignment warm_start) {
   if (!state_) {
-    // First Init: build the session state — the aligned point store, norm
+    // First Init: build the session state over the bound store — norm
     // caches, aggregates, bound tables, pruner and kernel scratch. Every
-    // later Init reuses all of it. A store-backed session hands its
-    // (possibly memory-mapped) store to the state instead of a matrix to
-    // copy.
-    if (points_ != nullptr) {
-      FAIRKM_ASSIGN_OR_RETURN(
-          FairKMState built,
-          FairKMState::Create(points_, sensitive_, options_.k,
-                              std::move(warm_start), options_.fairness));
-      state_ = std::make_unique<FairKMState>(std::move(built));
-    } else {
-      FAIRKM_ASSIGN_OR_RETURN(
-          FairKMState built,
-          FairKMState::Create(store_, sensitive_, options_.k,
-                              std::move(warm_start), options_.fairness));
-      state_ = std::make_unique<FairKMState>(std::move(built));
-    }
+    // later Init reuses all of it.
+    FAIRKM_ASSIGN_OR_RETURN(
+        FairKMState built,
+        FairKMState::Create(store_, sensitive_, options_.k,
+                            std::move(warm_start), options_.fairness));
+    state_ = std::make_unique<FairKMState>(std::move(built));
     state_->EnablePrototypeSnapshot(minibatch_);
     state_->EnableBoundTracking(pruning_);
     if (pruning_) {
@@ -367,51 +319,46 @@ Result<FairKMResult> FairKMSolver::CurrentResult() const {
   result.pruned_candidates = pruned_candidates_;
   result.pruned_fraction = result.PrunedFraction();
   result.assignment = state_->assignment();
-  if (points_ != nullptr) {
-    cluster::FinalizeResult(*points_, options_.k, &result);
-  } else {
-    // Store-backed finalize, mirroring cluster::FinalizeResult exactly —
-    // same ComputeCentroids accumulation order (row-major sum, then one
-    // 1/|C| scale) and same SumOfSquaredErrors loop — so matrix- and
-    // store-backed sessions report bit-identical centroids and objectives.
-    // Both passes stream in chunks and evict behind themselves, keeping the
-    // finalize RSS-bounded on mmap stores (eviction never changes a read).
-    const size_t k = static_cast<size_t>(options_.k);
-    const size_t chunk_rows = std::max<size_t>(
-        1, (size_t{8} << 20) / (store_->stride() * sizeof(double)));
-    data::Matrix centroids(k, cols_);
-    std::vector<size_t> sizes(k, 0);
-    for (size_t base = 0; base < n_; base += chunk_rows) {
-      const size_t end = std::min(n_, base + chunk_rows);
-      for (size_t i = base; i < end; ++i) {
-        const size_t c = static_cast<size_t>(result.assignment[i]);
-        ++sizes[c];
-        const double* row = store_->Row(i);
-        double* acc = centroids.Row(c);
-        for (size_t j = 0; j < cols_; ++j) acc[j] += row[j];
-      }
-      store_->EvictRows(base, end);
-    }
-    for (size_t c = 0; c < k; ++c) {
-      if (sizes[c] == 0) continue;
+  // Centroids (row-major sums, then one 1/|C| scale) and SSE, in the order
+  // cluster::FinalizeResult computes them over a matrix of the same rows,
+  // so the two agree bit for bit. Both passes stream in chunks and evict
+  // behind themselves, keeping the finalize RSS-bounded on mmap stores
+  // (eviction never changes a read).
+  const size_t k = static_cast<size_t>(options_.k);
+  const size_t chunk_rows = std::max<size_t>(
+      1, (size_t{8} << 20) / (store_->stride() * sizeof(double)));
+  data::Matrix centroids(k, cols_);
+  std::vector<size_t> sizes(k, 0);
+  for (size_t base = 0; base < n_; base += chunk_rows) {
+    const size_t end = std::min(n_, base + chunk_rows);
+    for (size_t i = base; i < end; ++i) {
+      const size_t c = static_cast<size_t>(result.assignment[i]);
+      ++sizes[c];
+      const double* row = store_->Row(i);
       double* acc = centroids.Row(c);
-      const double inv = 1.0 / static_cast<double>(sizes[c]);
-      for (size_t j = 0; j < cols_; ++j) acc[j] *= inv;
+      for (size_t j = 0; j < cols_; ++j) acc[j] += row[j];
     }
-    double sse = 0.0;
-    for (size_t base = 0; base < n_; base += chunk_rows) {
-      const size_t end = std::min(n_, base + chunk_rows);
-      for (size_t i = base; i < end; ++i) {
-        sse += data::SquaredDistance(
-            store_->Row(i),
-            centroids.Row(static_cast<size_t>(result.assignment[i])), cols_);
-      }
-      store_->EvictRows(base, end);
-    }
-    result.centroids = std::move(centroids);
-    result.sizes = std::move(sizes);
-    result.kmeans_objective = sse;
+    store_->EvictRows(base, end);
   }
+  for (size_t c = 0; c < k; ++c) {
+    if (sizes[c] == 0) continue;
+    double* acc = centroids.Row(c);
+    const double inv = 1.0 / static_cast<double>(sizes[c]);
+    for (size_t j = 0; j < cols_; ++j) acc[j] *= inv;
+  }
+  double sse = 0.0;
+  for (size_t base = 0; base < n_; base += chunk_rows) {
+    const size_t end = std::min(n_, base + chunk_rows);
+    for (size_t i = base; i < end; ++i) {
+      sse += data::SquaredDistance(
+          store_->Row(i),
+          centroids.Row(static_cast<size_t>(result.assignment[i])), cols_);
+    }
+    store_->EvictRows(base, end);
+  }
+  result.centroids = std::move(centroids);
+  result.sizes = std::move(sizes);
+  result.kmeans_objective = sse;
   result.kmeans_term = result.kmeans_objective;
   result.fairness_term = state_->FairnessTerm();
   result.total_objective = result.kmeans_term + lambda_ * result.fairness_term;
@@ -521,11 +468,6 @@ Status FairKMSolver::ResumeFromCheckpointDir(const std::string& dir) {
 }
 
 Status FairKMSolver::SyncStoreGrowth() {
-  if (points_ != nullptr) {
-    return Status::InvalidArgument(
-        "SyncStoreGrowth needs a store-backed session (matrix-backed "
-        "sessions own an immutable copy of the rows)");
-  }
   if (!initialized()) {
     return Status::InvalidArgument("solver not initialized: call Init first");
   }

@@ -4,11 +4,11 @@
 // serving-style and online workloads can amortize and observe it:
 //
 //   * Create once per (dataset, sensitive view): validates the options and
-//     captures the inputs. The expensive immutable caches — the aligned
-//     lane-padded PointStore, per-point norms, the fairness constant tables
-//     — are built at the first Init and REUSED by every later Init, so a
-//     multi-seed protocol (paper §5.5.1) or a lambda sweep (§5.3) pays the
-//     O(n d) setup and its allocations once, not per run.
+//     binds the inputs. The expensive immutable caches — per-point norms,
+//     the fairness constant tables — are built at the first Init and REUSED
+//     by every later Init, so a multi-seed protocol (paper §5.5.1) or a
+//     lambda sweep (§5.3) pays the O(n d) setup and its allocations once,
+//     not per run.
 //   * Init(seed | rng | warm-start assignment) starts a run. Re-Init is the
 //     warm path: allocation-free after the first, and bit-identical to a
 //     freshly constructed solver given the same inputs.
@@ -32,16 +32,17 @@
 //     by the core insertion scorer (core/assign.h) against ExportModel().
 //     The trained model is not mutated; points are scored independently.
 //
-// The solver is move-only; it references the points/sensitive view, which
-// must outlive it unchanged.
+// The solver is move-only; it shares ownership of its PointStore and
+// references the sensitive view, which must outlive it unchanged.
 //
-// Storage backends: the matrix-backed Create copies the rows into an
-// in-memory aligned PointStore at the first Init. The store-backed Create
-// binds a data::PointStore directly — including the memory-mapped file
-// backend (see data/point_store.h) — so the sweep engine streams rows
-// straight off the mapping and the resident set is governed by the page
-// cache, not by an in-process copy. Both paths walk bit-identical
-// trajectories given equal inputs and seeds.
+// Storage: every session runs over a data::PointStore (the aligned,
+// lane-padded row layout of data/point_store.h). The store-backed Create
+// binds one directly — including the memory-mapped file backend — so the
+// sweep engine streams rows straight off the mapping and the resident set is
+// governed by the page cache, not by an in-process copy. The matrix Create
+// is a convenience: it copies the rows into an in-memory store and
+// delegates, so both walk bit-identical trajectories given equal rows and
+// seeds.
 
 #ifndef FAIRKM_CORE_SOLVER_H_
 #define FAIRKM_CORE_SOLVER_H_
@@ -158,21 +159,17 @@ struct SolverCheckpoint {
 /// \brief Reusable FairKM optimization session (see the header comment).
 class FairKMSolver {
  public:
-  /// \brief Validates `options` and binds the inputs (not copied; they must
-  /// outlive the solver unchanged). No per-run state is built yet.
+  /// \brief Copies `points` into an in-memory PointStore and delegates to
+  /// the store-backed Create; the matrix need not outlive the solver.
   static Result<FairKMSolver> Create(const data::Matrix* points,
                                      const data::SensitiveView* sensitive,
                                      const FairKMOptions& options);
 
-  /// \brief Store-backed session: binds a PointStore (shared ownership)
-  /// instead of a matrix. With the mmap backend the dataset never enters the
-  /// process heap — rows are read straight off the read-only mapping, and
-  /// PointStore::EvictRows lets a sharded driver (core/sharded_sweep.h)
-  /// bound the resident set. Restrictions of this path: Init(rng) supports
-  /// only cluster::KMeansInit::kRandomAssignment (the paper's Algorithm-1
-  /// initialization; other strategies need matrix access) and points() is
-  /// null. Trajectories are bit-identical to a matrix-backed session over
-  /// the same rows with an equal seed.
+  /// \brief Validates `options` and binds a non-empty, finite PointStore
+  /// (shared ownership). No per-run state is built yet. With the mmap
+  /// backend the dataset never enters the process heap — rows are read
+  /// straight off the read-only mapping, and PointStore::EvictRows lets a
+  /// sharded driver (core/sharded_sweep.h) bound the resident set.
   static Result<FairKMSolver> Create(
       std::shared_ptr<const data::PointStore> store,
       const data::SensitiveView* sensitive, const FairKMOptions& options);
@@ -183,12 +180,15 @@ class FairKMSolver {
   FairKMSolver& operator=(const FairKMSolver&) = delete;
   ~FairKMSolver() = default;
 
-  /// \brief Starts a run from the options' initialization strategy, drawing
-  /// from `rng` (equal seeds, equal trajectories).
+  /// \brief Starts a run from the paper's Algorithm 1 step 1: a uniform
+  /// random assignment (cluster::MakeRandomAssignment) drawn from `rng`, so
+  /// equal seeds give equal trajectories. kInvalidArgument when k exceeds
+  /// the point count.
   Status Init(Rng* rng);
   /// \brief Convenience: Init with a fresh Rng(seed).
   Status Init(uint64_t seed);
-  /// \brief Starts a run from a caller-provided (warm-start) assignment.
+  /// \brief Starts a run from a caller-provided (warm-start) assignment;
+  /// clusters it leaves empty stay valid (k may exceed the point count).
   Status Init(cluster::Assignment warm_start);
 
   /// \brief True after a successful Init (or Restore).
@@ -282,7 +282,7 @@ class FairKMSolver {
     FAIRKM_DCHECK(state_ != nullptr);
     return state_.get();
   }
-  /// \brief Re-synchronizes a store-backed session after the bound store's
+  /// \brief Re-synchronizes the session after the bound store's
   /// row count changed underneath it (online admit/retire): adopts the new
   /// n, re-hoists the full-sweep batch size (mini-batch sizes are kept),
   /// rebuilds the pruner over the resized state (all per-point bounds
@@ -304,16 +304,11 @@ class FairKMSolver {
   int k() const { return options_.k; }
   size_t num_rows() const { return n_; }
   const FairKMOptions& options() const { return options_; }
-  /// \brief The bound matrix, or null for a store-backed session.
-  const data::Matrix* points() const { return points_; }
-  /// \brief The bound store (null until the first Init of a matrix-backed
-  /// session; always set for a store-backed one).
+  /// \brief The bound store (never null).
   const data::PointStore* store() const { return store_.get(); }
   const data::SensitiveView* sensitive() const { return sensitive_; }
 
  private:
-  FairKMSolver(const data::Matrix* points, const data::SensitiveView* sensitive,
-               FairKMOptions options);
   FairKMSolver(std::shared_ptr<const data::PointStore> store,
                const data::SensitiveView* sensitive, FairKMOptions options);
 
@@ -328,14 +323,11 @@ class FairKMSolver {
   void ProcessBatchSerial(size_t batch_start, size_t batch_end);
   bool ApplyBestMove(size_t i, const double* km_deltas);
 
-  const data::Matrix* points_;  // Null for store-backed sessions.
-  // Shared store for store-backed sessions (set at Create); matrix-backed
-  // sessions leave it null and let FairKMState build its own copy.
   std::shared_ptr<const data::PointStore> store_;
   const data::SensitiveView* sensitive_;
   FairKMOptions options_;
   size_t n_ = 0;
-  size_t cols_ = 0;  // Feature width, valid for both backends.
+  size_t cols_ = 0;  // Feature width.
   double lambda_ = 0.0;
   bool minibatch_ = false;
   size_t batch_size_ = 0;

@@ -1,13 +1,12 @@
 #include "core/supervisor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
-#include <thread>
 #include <utility>
 
+#include "common/backoff.h"
 #include "common/fault_injection.h"
 #include "common/io.h"
 #include "common/timer.h"
@@ -80,36 +79,18 @@ Result<SupervisedRunner> SupervisedRunner::Create(
 
 Status SupervisedRunner::BuildSolver() {
   solver_.reset();
-  if (spec_.backend == data::PointStoreSpec::Backend::kMmap) {
-    FAIRKM_ASSIGN_OR_RETURN(std::shared_ptr<const data::PointStore> store,
-                            data::PointStore::Create(*points_, spec_));
-    FAIRKM_ASSIGN_OR_RETURN(
-        FairKMSolver solver,
-        FairKMSolver::Create(std::move(store), sensitive_, options_));
-    solver_ = std::make_unique<FairKMSolver>(std::move(solver));
-  } else {
-    FAIRKM_ASSIGN_OR_RETURN(
-        FairKMSolver solver,
-        FairKMSolver::Create(points_, sensitive_, options_));
-    solver_ = std::make_unique<FairKMSolver>(std::move(solver));
-  }
+  FAIRKM_ASSIGN_OR_RETURN(std::shared_ptr<const data::PointStore> store,
+                          data::PointStore::Create(*points_, spec_));
+  FAIRKM_ASSIGN_OR_RETURN(
+      FairKMSolver solver,
+      FairKMSolver::Create(std::move(store), sensitive_, options_));
+  solver_ = std::make_unique<FairKMSolver>(std::move(solver));
   return Status::OK();
 }
 
 void SupervisedRunner::BackoffSleep(int attempt) {
-  // serve::RetryPolicy full-jitter semantics (re-implemented: core cannot
-  // link serve): sleep ~ U[0, min(initial * mult^(attempt-1), max)].
-  if (policy_.initial_backoff_seconds <= 0.0) return;
-  double ceiling = policy_.initial_backoff_seconds;
-  for (int i = 1; i < attempt; ++i) {
-    ceiling *= policy_.backoff_multiplier;
-    if (ceiling >= policy_.max_backoff_seconds) break;
-  }
-  ceiling = std::min(ceiling, policy_.max_backoff_seconds);
-  const double sleep_seconds = jitter_rng_.UniformDouble() * ceiling;
-  if (sleep_seconds > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
-  }
+  SleepBackoff(policy_.initial_backoff_seconds, policy_.backoff_multiplier,
+               policy_.max_backoff_seconds, attempt, &jitter_rng_);
 }
 
 bool SupervisedRunner::DemoteOnce() {
@@ -268,12 +249,10 @@ Result<RunStop> SupervisedRunner::Run(uint64_t seed, int max_sweeps,
 
     // Backing probe: a store file truncated under the mapping must surface
     // here as a typed fault, not as a SIGBUS inside the sweep kernels.
-    if (solver_->store() != nullptr) {
-      Status backing = solver_->store()->CheckBacking();
-      if (!backing.ok()) {
-        FAIRKM_RETURN_NOT_OK(HandleFault(FaultKind::kIO, backing));
-        continue;
-      }
+    Status backing = solver_->store()->CheckBacking();
+    if (!backing.ok()) {
+      FAIRKM_RETURN_NOT_OK(HandleFault(FaultKind::kIO, backing));
+      continue;
     }
 
     const int sweeps_before = solver_->sweeps_completed();

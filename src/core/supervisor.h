@@ -20,8 +20,8 @@
 //     quarantining corrupt frames on the way — falling back to the
 //     in-memory last-good snapshot, then to a fresh re-Init(seed). Each
 //     recovery consumes one unit of the `max_rollbacks` budget and sleeps a
-//     full-jitter backoff first (the serve/retry.h policy semantics,
-//     re-implemented here because core cannot link serve).
+//     full-jitter backoff first (common/backoff.h, the schedule
+//     serve::AssignWithRetry uses too).
 //   * Graceful degradation — repeated I/O faults demote an mmap store to an
 //     in-memory copy of the rows (the one configuration that reads a file
 //     during the sweep). The demotion rebuilds the solver over the copy and
@@ -70,9 +70,8 @@ struct SupervisorPolicy {
   /// gives up and surfaces the last fault.
   int max_rollbacks = 3;
 
-  // --- Full-jitter backoff before each recovery (serve::RetryPolicy
-  // semantics: sleep ~ U[0, min(initial * multiplier^(i-1), max)] on the
-  // i-th recovery).
+  // --- Full-jitter backoff before each recovery (common/backoff.h: sleep
+  // ~ U[0, min(initial * multiplier^(i-1), max)] on the i-th recovery).
   double initial_backoff_seconds = 0.001;
   double backoff_multiplier = 2.0;
   double max_backoff_seconds = 0.100;

@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "cluster/kmeans.h"
 #include "common/fault_injection.h"
 #include "common/io.h"
 #include "serve/model_snapshot.h"
@@ -65,14 +64,7 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Create(
           std::shared_ptr<const data::PointStore>(engine->store_),
           &engine->view_, options.solver));
   engine->solver_ = std::make_unique<core::FairKMSolver>(std::move(solver));
-  // Draw the initial assignment against the matrix (still in hand here), so
-  // every KMeansInit strategy works even though the session is store-backed.
-  Rng rng(seed);
-  FAIRKM_ASSIGN_OR_RETURN(
-      cluster::Assignment initial,
-      cluster::MakeInitialAssignment(initial_points, options.solver.k,
-                                     options.solver.init, &rng));
-  FAIRKM_RETURN_NOT_OK(engine->solver_->Init(std::move(initial)));
+  FAIRKM_RETURN_NOT_OK(engine->solver_->Init(seed));
   FAIRKM_ASSIGN_OR_RETURN(core::RunStop stop, engine->solver_->Run());
   (void)stop;
 

@@ -1,23 +1,14 @@
 #include "serve/retry.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
+
+#include "common/backoff.h"
 
 namespace fairkm {
 namespace serve {
 
 bool IsRetryable(const Status& status) {
   return status.code() == StatusCode::kUnavailable;
-}
-
-double BackoffCeilingSeconds(const RetryPolicy& policy, int retry) {
-  double ceiling = policy.initial_backoff_seconds;
-  for (int i = 1; i < retry; ++i) {
-    ceiling *= policy.backoff_multiplier;
-    if (ceiling >= policy.max_backoff_seconds) break;
-  }
-  return std::clamp(ceiling, 0.0, policy.max_backoff_seconds);
 }
 
 Result<cluster::Assignment> AssignWithRetry(
@@ -31,12 +22,8 @@ Result<cluster::Assignment> AssignWithRetry(
     result = service.Assign(points, sensitive, request);
     if (result.ok() || !IsRetryable(result.status())) return result;
     if (attempt == attempts) break;
-    const double ceiling = BackoffCeilingSeconds(policy, attempt);
-    const double sleep_seconds =
-        rng != nullptr ? rng->UniformDouble() * ceiling : ceiling;
-    if (sleep_seconds > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
-    }
+    SleepBackoff(policy.initial_backoff_seconds, policy.backoff_multiplier,
+                 policy.max_backoff_seconds, attempt, rng);
   }
   return result;
 }

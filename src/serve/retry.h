@@ -4,16 +4,12 @@
 // timeout, model not yet published) the right client response is to back off
 // and try again; when it returns kDeadlineExceeded or a real error, retrying
 // is wrong (the budget is spent / the request itself is bad). RetryPolicy
-// encodes that split plus jittered exponential backoff, so every caller does
-// not reinvent it subtly differently:
+// encodes that split; between tries AssignWithRetry sleeps the library's one
+// full-jitter backoff (common/backoff.h), drawn from the caller's Rng:
 //
 //   RetryPolicy policy;            // 4 attempts, 1ms..100ms, full jitter
 //   Rng rng(seed);
 //   auto result = AssignWithRetry(service, points, sensitive, {}, policy, &rng);
-//
-// Jitter is drawn from the caller's Rng, keeping retries deterministic under
-// a fixed seed (and desynchronized across clients with distinct seeds — no
-// thundering-herd resonance).
 
 #ifndef FAIRKM_SERVE_RETRY_H_
 #define FAIRKM_SERVE_RETRY_H_
@@ -28,16 +24,15 @@
 namespace fairkm {
 namespace serve {
 
-/// \brief Jittered exponential backoff schedule.
+/// \brief Attempt budget plus the common/backoff.h schedule between tries.
 ///
 /// Durations follow the repo-wide convention: wall-clock seconds as a
 /// `double`, named `*_seconds` (so the defaults below read 1 ms and 100 ms).
 struct RetryPolicy {
   /// Total tries, including the first (so 1 disables retrying).
   int max_attempts = 4;
-  /// Backoff ceiling for attempt i (1-based retry index): the sleep is drawn
-  /// uniformly from [0, min(initial * multiplier^(i-1), max)] — "full
-  /// jitter", which empirically spreads synchronized retry storms best.
+  /// Full-jitter backoff before retry i (1-based): a uniform draw from
+  /// [0, min(initial * multiplier^(i-1), max)] (common/backoff.h).
   double initial_backoff_seconds = 0.001;
   double backoff_multiplier = 2.0;
   double max_backoff_seconds = 0.100;
@@ -49,9 +44,6 @@ struct RetryPolicy {
 /// soon". kDeadlineExceeded means the caller's budget is gone; everything
 /// else means the request or the model is at fault and will fail again.
 bool IsRetryable(const Status& status);
-
-/// \brief Backoff ceiling (seconds) before retry number `retry` (1-based).
-double BackoffCeilingSeconds(const RetryPolicy& policy, int retry);
 
 /// \brief Assign with shed-aware retries.
 ///

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -127,6 +128,32 @@ TEST(ClustererRegistryTest, FairKMViaRegistryMatchesRunFairKM) {
   EXPECT_EQ(via_registry.lambda_used, via_direct.lambda_used);
   EXPECT_EQ(via_registry.iterations, via_direct.iterations);
   EXPECT_EQ(via_registry.sweep_seconds > 0.0, via_direct.sweep_seconds > 0.0);
+}
+
+TEST(ClustererRegistryTest, FairKMAcceptsOnlyRandomAssignmentInit) {
+  // Algorithm 1 step 1 is the only start a FairKM session draws.
+  core::EnsureFairKMClustererRegistered();
+  const SeededWorld world = MakeSeededWorld(47);
+  ClustererOptions options;
+  options.k = 3;
+  options.max_iterations = 5;
+  options.init = KMeansInit::kKMeansPlusPlus;
+  const auto refused = CreateClusterer("fairkm", options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  const auto run = [&](std::optional<KMeansInit> init) {
+    options.init = init;
+    Rng rng(9);
+    return CreateClusterer("fairkm", options)
+        .ValueOrDie()
+        ->Cluster(world.points, world.sensitive, &rng)
+        .ValueOrDie()
+        .assignment;
+  };
+  const Assignment unset = run(std::nullopt);
+  EXPECT_EQ(unset.size(), world.points.rows());
+  EXPECT_EQ(run(KMeansInit::kRandomAssignment), unset);
 }
 
 TEST(ClustererRegistryTest, FairKMAdapterWarmReuseIsBitIdentical) {

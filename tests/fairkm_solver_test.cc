@@ -11,16 +11,18 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cluster/types.h"
 #include "core/fairkm.h"
 #include "core/objective.h"
+#include "data/point_store.h"
 #include "testlib/brute_force.h"
 #include "testlib/worlds.h"
-
 
 namespace fairkm {
 namespace core {
@@ -599,6 +601,123 @@ TEST(FairKMSolverTest, MiniBatchLargerThanDatasetIsOneBatchPerSweep) {
               1e-9 * std::max(1.0, std::abs(scratch.kmeans_term)));
   EXPECT_NEAR(got.fairness_term, scratch.fairness_term,
               1e-9 * std::max(1.0, std::abs(scratch.fairness_term)));
+}
+
+// Every session runs over a PointStore; the tests below hold an in-memory
+// and a file-backed store to the same contract.
+std::shared_ptr<const data::PointStore> StoreFor(const data::Matrix& points,
+                                                 const std::string& spec) {
+  return data::PointStore::Create(
+             points, data::PointStoreSpec::Parse(spec).ValueOrDie())
+      .ValueOrDie();
+}
+
+std::filesystem::path FreshDir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(FairKMSolverTest, RandomInitRejectsMoreClustersThanPoints) {
+  const std::filesystem::path dir = FreshDir("fairkm_solver_k_exceeds_n");
+  data::Matrix points(3, 2);
+  for (size_t i = 0; i < points.rows(); ++i) {
+    points.At(i, 0) = static_cast<double>(i);
+  }
+  const data::SensitiveView no_view;
+  FairKMOptions options;
+  options.k = 5;
+
+  for (const std::string& spec :
+       {std::string("mem"), "mmap:" + (dir / "three.fkps").string()}) {
+    SCOPED_TRACE(spec);
+    FairKMSolver solver =
+        FairKMSolver::Create(StoreFor(points, spec), &no_view, options)
+            .ValueOrDie();
+    const Status st = solver.Init(uint64_t{7});
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("k (5) exceeds point count (3)"),
+              std::string::npos)
+        << st;
+    EXPECT_FALSE(solver.initialized());
+
+    // A warm start may leave clusters empty, so k > n stays valid there.
+    ASSERT_TRUE(solver.Init(cluster::Assignment{0, 1, 2}).ok());
+    ASSERT_TRUE(solver.Run().ok());
+    EXPECT_EQ(solver.CurrentResult().ValueOrDie().sizes,
+              (std::vector<size_t>{1, 1, 1, 0, 0}));
+  }
+
+  FairKMSolver from_matrix =
+      FairKMSolver::Create(&points, &no_view, options).ValueOrDie();
+  EXPECT_EQ(from_matrix.Init(uint64_t{7}).code(),
+            StatusCode::kInvalidArgument);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FairKMSolverTest, CreateRejectsAnEmptyPointSet) {
+  const data::Matrix no_points(0, 4);
+  const data::SensitiveView no_view;
+  FairKMOptions options;
+  options.k = 3;
+  const auto solver = FairKMSolver::Create(&no_points, &no_view, options);
+  ASSERT_FALSE(solver.ok());
+  EXPECT_EQ(solver.status().code(), StatusCode::kInvalidArgument);
+
+  const auto state = FairKMState::Create(&no_points, &no_view, options.k,
+                                         cluster::Assignment{});
+  ASSERT_FALSE(state.ok());
+  EXPECT_EQ(state.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(FairKMSolver::Create(static_cast<const data::Matrix*>(nullptr),
+                                 &no_view, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// CurrentResult's finalize streams the store; it must report exactly what
+// cluster::FinalizeResult computes over the matrix of the same rows,
+// empty clusters included.
+TEST(FairKMSolverTest, CurrentResultMatchesFinalizeResultOnEveryStore) {
+  const std::filesystem::path dir = FreshDir("fairkm_solver_finalize");
+  const SeededWorld world = MakeSeededWorld(61);
+  FairKMOptions options = OptionsFor(kModes[0]);
+  options.k = world.k + 1;  // The warm start never uses the last cluster.
+
+  const auto expect_finalize_equal = [&](const FairKMSolver& solver) {
+    const FairKMResult got = solver.CurrentResult().ValueOrDie();
+    cluster::ClusteringResult want;
+    want.assignment = got.assignment;
+    cluster::FinalizeResult(world.points, options.k, &want);
+    EXPECT_EQ(got.sizes, want.sizes);
+    EXPECT_EQ(got.kmeans_objective, want.kmeans_objective);
+    ASSERT_EQ(got.centroids.rows(), want.centroids.rows());
+    ASSERT_EQ(got.centroids.cols(), want.centroids.cols());
+    for (size_t c = 0; c < want.centroids.rows(); ++c) {
+      for (size_t j = 0; j < want.centroids.cols(); ++j) {
+        EXPECT_EQ(got.centroids.At(c, j), want.centroids.At(c, j))
+            << "cluster " << c << " dim " << j;
+      }
+    }
+  };
+
+  for (const std::string& spec :
+       {std::string("mem"), "mmap:" + (dir / "world.fkps").string()}) {
+    SCOPED_TRACE(spec);
+    FairKMSolver solver =
+        FairKMSolver::Create(StoreFor(world.points, spec), &world.sensitive,
+                             options)
+            .ValueOrDie();
+    ASSERT_TRUE(solver.Init(world.assignment).ok());
+    EXPECT_EQ(solver.state().cluster_size(options.k - 1), 0u);
+    expect_finalize_equal(solver);
+    ASSERT_TRUE(solver.Run().ok());
+    expect_finalize_equal(solver);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -46,6 +47,11 @@ struct EngineConfig {
   int minibatch;
   bool pruning;
 };
+
+// gtest appends the printed parameter to every ctest name; without this it
+// would dump the struct's raw bytes (pointer and padding included), so the
+// names would change from build to build.
+void PrintTo(const EngineConfig& cfg, std::ostream* os) { *os << cfg.name; }
 
 std::vector<EngineConfig> AllConfigs() {
   return {

@@ -8,6 +8,7 @@
 
 #include "core/assign.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -203,31 +204,26 @@ TEST(ServeAssignTest, ValidationMirrorsScalarPath) {
 }
 
 TEST(ServeAssignTest, AllClustersEmptyModelCannotServe) {
-  // A zero-row training set yields a valid solver whose clusters are all
-  // empty. Exporting works (counts all zero), but assigning a real point has
-  // no candidate cluster — an error through the snapshot and the solver.
-  const data::Matrix no_points(0, 4);
-  data::SensitiveView no_view;  // Empty view: n rows trivially consistent.
-  FairKMOptions options;
-  options.k = 3;
-  options.lambda = 60.0;
-  options.enable_pruning = false;
-  FairKMSolver solver =
-      FairKMSolver::Create(&no_points, &no_view, options).ValueOrDie();
-  ASSERT_TRUE(solver.Init(cluster::Assignment{}).ok());
+  // A session cannot train on zero rows, but a model whose clusters are all
+  // empty can still arrive from a snapshot file. Assigning a real point to
+  // it has no candidate cluster — an error, not a guess.
+  const SeededWorld world = MakeSeededWorld(95);
+  const TrainedModel trained = Train(world, OptionsFor(kModes[0]), 7);
+  core::ModelExport model = trained.solver.ExportModel().ValueOrDie();
+  std::fill(model.counts.begin(), model.counts.end(), size_t{0});
+  std::fill(model.centroids.begin(), model.centroids.end(), 0.0);
+  std::fill(model.centroid_norms.begin(), model.centroid_norms.end(), 0.0);
+  const ModelSnapshot snapshot(std::move(model));
 
-  const std::shared_ptr<const ModelSnapshot> snapshot =
-      MakeModelSnapshot(solver).ValueOrDie();
-  for (const size_t count : snapshot->model().counts) EXPECT_EQ(count, 0u);
-
-  data::Matrix one_point(1, 4);
-  EXPECT_FALSE(AssignToModel(snapshot->model(), one_point).ok());
-  EXPECT_FALSE(solver.Assign(one_point).ok());
+  const data::Matrix one_point(1, world.points.cols());
+  const Result<cluster::Assignment> refused =
+      AssignToModel(snapshot.model(), one_point);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 
   // Zero rows in, zero rows out — even with no candidates.
-  const data::Matrix empty_request(0, 4);
-  EXPECT_TRUE(Score(*snapshot, empty_request).empty());
-  EXPECT_TRUE(solver.Assign(empty_request).ValueOrDie().empty());
+  const data::Matrix empty_request(0, world.points.cols());
+  EXPECT_TRUE(Score(snapshot, empty_request).empty());
 }
 
 TEST(ServeAssignTest, SnapshotExportRequiresTrainedSolver) {

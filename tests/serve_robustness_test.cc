@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/backoff.h"
 #include "common/fault_injection.h"
 #include "common/timer.h"
 #include "core/solver.h"
@@ -290,11 +291,16 @@ TEST(RetryPolicyTest, BackoffCeilingGrowsAndClamps) {
   policy.initial_backoff_seconds = 0.001;
   policy.backoff_multiplier = 2.0;
   policy.max_backoff_seconds = 0.005;
-  EXPECT_DOUBLE_EQ(BackoffCeilingSeconds(policy, 1), 0.001);
-  EXPECT_DOUBLE_EQ(BackoffCeilingSeconds(policy, 2), 0.002);
-  EXPECT_DOUBLE_EQ(BackoffCeilingSeconds(policy, 3), 0.004);
-  EXPECT_DOUBLE_EQ(BackoffCeilingSeconds(policy, 4), 0.005);
-  EXPECT_DOUBLE_EQ(BackoffCeilingSeconds(policy, 10), 0.005);
+  const auto ceiling = [&](int retry) {
+    return BackoffCeilingSeconds(policy.initial_backoff_seconds,
+                                 policy.backoff_multiplier,
+                                 policy.max_backoff_seconds, retry);
+  };
+  EXPECT_DOUBLE_EQ(ceiling(1), 0.001);
+  EXPECT_DOUBLE_EQ(ceiling(2), 0.002);
+  EXPECT_DOUBLE_EQ(ceiling(3), 0.004);
+  EXPECT_DOUBLE_EQ(ceiling(4), 0.005);
+  EXPECT_DOUBLE_EQ(ceiling(10), 0.005);
 }
 
 TEST(RetryPolicyTest, RetriesNotReadyServiceUntilExhausted) {

@@ -168,7 +168,6 @@ TEST_F(ShardedSweepTest, MemoryStoreBackedSolverMatchesMatrixSolver) {
   ASSERT_TRUE(solver.Init(uint64_t{17}).ok());
   ASSERT_TRUE(solver.Run().ok());
   ExpectIdentical(Capture(solver), from_matrix, "mem store vs matrix");
-  EXPECT_EQ(solver.points(), nullptr);
   ASSERT_NE(solver.store(), nullptr);
 }
 
@@ -326,23 +325,6 @@ TEST_F(ShardedSweepTest, CreateRejectsBadInputs) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST_F(ShardedSweepTest, StoreBackedInitSupportsOnlyRandomAssignment) {
-  const SeededWorld world = MakeSeededWorld(508, BigWorldSpec());
-  FairKMOptions options = MiniBatchOptions(/*pruning=*/true);
-  options.init = cluster::KMeansInit::kKMeansPlusPlus;
-  auto store = MmapStore(world.points, Path("init.fkps"));
-
-  ShardedSweep sweep =
-      ShardedSweep::Create(store, &world.sensitive, options, 2).ValueOrDie();
-  const Status st = sweep.Init(uint64_t{5});
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-
-  // A warm-start assignment sidesteps the restriction.
-  ASSERT_TRUE(sweep.Init(world.assignment).ok());
-  EXPECT_TRUE(sweep.Run().ok());
 }
 
 }  // namespace

@@ -169,8 +169,8 @@ TEST_F(SupervisorTest, CheckpointWriteFaultRecovers) {
 TEST_F(SupervisorTest, RepeatedIOFaultsWalkTheDemotionLadder) {
   // Start from an mmap store whose verification walk always fails: the
   // second consecutive I/O fault must demote mmap -> memory, after which
-  // the armed point is never consulted again (the in-memory backend skips
-  // the backing probe) and the run completes.
+  // the armed point is never consulted again (the in-memory backend's
+  // backing probe has no file to check) and the run completes.
   fault::FaultSpec spec;  // kError/kIOError, unlimited fires
   fault::Arm("pointstore.truncate", spec);
   data::PointStoreSpec store_spec;
@@ -187,11 +187,10 @@ TEST_F(SupervisorTest, RepeatedIOFaultsWalkTheDemotionLadder) {
   EXPECT_EQ(stats.rollbacks, 2);
   EXPECT_EQ(stats.store_demotions, 1);
   EXPECT_TRUE(stats.converged);
-  // After demotion the rebuilt solver no longer runs over the mmap store:
-  // it is either matrix-backed (no store at all) or memory-backed.
+  // After demotion the rebuilt solver runs over an in-memory store.
   const data::PointStore* store = runner.ValueOrDie().solver().store();
-  EXPECT_TRUE(store == nullptr ||
-              store->backend() == data::PointStoreSpec::Backend::kMemory);
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->backend(), data::PointStoreSpec::Backend::kMemory);
 }
 
 TEST_F(SupervisorTest, ResumeQuarantinesAllCorruptDirectory) {

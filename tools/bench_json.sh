@@ -53,7 +53,7 @@
 #      (tests/serve_assign_test.cc); only the scoring loop differs.
 #   7. Sharded-sweep overhead: BM_FairKM_SnapshotSweep_Sharded (mmap store +
 #      core::ShardedSweep eviction) vs BM_FairKM_SnapshotSweep_InProcess
-#      (matrix-backed solver; both run the serial mini-batch sweep at the
+#      (in-memory store; both run the serial mini-batch sweep at the
 #      same options and seed, bit-identical trajectory) must stay within
 #      MAX_SHARDED_OVERHEAD (default 1.15) — out-of-core residency control
 #      is bought with madvise calls and page refaults, not with a slower

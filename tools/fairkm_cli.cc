@@ -533,7 +533,7 @@ Status Run(const ArgParser& args) {
       // Self-healing runtime (core/supervisor.h): divergence watchdog,
       // checkpoint rollback, and the I/O store demotion around the run.
       // Works with either store backend (the supervised session drives the
-      // store-backed solver directly, not the sharded driver).
+      // solver directly, not the sharded driver).
       core::SupervisorPolicy policy;
       policy.checkpoint_dir = checkpoint_dir;
       if (!checkpoint_dir.empty()) {
