@@ -30,7 +30,6 @@
 #include "core/fairkm_state.h"
 #include "common/timer.h"
 #include "core/kernels/kernels.h"
-#include "core/sharded_sweep.h"
 #include "core/solver.h"
 #include "data/adult_generator.h"
 #include "data/point_store.h"
@@ -644,29 +643,32 @@ void BackendMarkerLoop(benchmark::State& state) {
 #endif
     BackendMarkerLoop);
 
-// Out-of-core pair (n = 20000, d = 32, k = 8): _InProcess runs the serial
-// mini-batch sweep over the in-memory point store; _Sharded runs the SAME
-// options through core::ShardedSweep over an mmap-backed store file, with
-// each shard evicted from the page cache as the sweep passes it.
-// Trajectories are bit-identical (tests/sharded_sweep_test.cc); what this
+// Out-of-core pair (n = 100000, d = 32, k = 8): both run the same solver
+// session (Create, Init, serial mini-batch Run) at the same options and seed,
+// _Mem over an in-memory point store (the matrix Create copies the rows into
+// one) and _Mmap over an mmap-backed store file of the same rows, whose sweep
+// evicts each residency chunk from the page cache as its cursor passes it.
+// The rows are 25.6 MB, a little over three 8 MiB residency chunks, so every
+// _Mmap sweep evicts mid-sweep and refaults what it evicted on the next one.
+// Trajectories are bit-identical (tests/out_of_core_sweep_test.cc); what this
 // pair measures is the out-of-core overhead (refaults + madvise), which
-// tools/bench_json.sh bounds: Sharded/InProcess <= MAX_SHARDED_OVERHEAD.
-// The one-time store materialization is excluded from both sides.
-constexpr size_t kShardedN = 20000;
-constexpr size_t kShardedD = 32;
+// tools/bench_json.sh bounds: Mmap/Mem <= MAX_SHARDED_OVERHEAD. The mmap
+// store file is written once, outside the timed loop.
+constexpr size_t kOutOfCoreN = 100000;
+constexpr size_t kOutOfCoreD = 32;
 
-core::FairKMOptions ShardedBenchOptions() {
+core::FairKMOptions OutOfCoreBenchOptions() {
   core::FairKMOptions options;
   options.k = 8;
-  options.lambda = core::SuggestLambda(kShardedN, options.k);
+  options.lambda = core::SuggestLambda(kOutOfCoreN, options.k);
   options.max_iterations = 3;
   options.minibatch_size = 1024;
   return options;
 }
 
-void BM_FairKM_SnapshotSweep_InProcess(benchmark::State& state) {
-  const auto& world = SyntheticWorld(kShardedN, kShardedD);
-  const core::FairKMOptions options = ShardedBenchOptions();
+void BM_FairKM_OutOfCore_Mem(benchmark::State& state) {
+  const auto& world = SyntheticWorld(kOutOfCoreN, kOutOfCoreD);
+  const core::FairKMOptions options = OutOfCoreBenchOptions();
   for (auto _ : state) {
     auto solver =
         core::FairKMSolver::Create(&world.features, &world.sensitive, options)
@@ -676,32 +678,29 @@ void BM_FairKM_SnapshotSweep_InProcess(benchmark::State& state) {
     benchmark::DoNotOptimize(solver.assignment().data());
   }
 }
-BENCHMARK(BM_FairKM_SnapshotSweep_InProcess)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FairKM_OutOfCore_Mem)->Unit(benchmark::kMillisecond);
 
-void BM_FairKM_SnapshotSweep_Sharded(benchmark::State& state) {
-  const auto& world = SyntheticWorld(kShardedN, kShardedD);
-  const core::FairKMOptions options = ShardedBenchOptions();
+void BM_FairKM_OutOfCore_Mmap(benchmark::State& state) {
+  const auto& world = SyntheticWorld(kOutOfCoreN, kOutOfCoreD);
+  const core::FairKMOptions options = OutOfCoreBenchOptions();
   static const std::shared_ptr<const data::PointStore> store = [] {
     data::PointStoreSpec spec;
     spec.backend = data::PointStoreSpec::Backend::kMmap;
-    spec.path = "/tmp/fairkm_bench_sharded.fkps";
-    return data::PointStore::Create(SyntheticWorld(kShardedN, kShardedD).features,
-                                    spec)
+    spec.path = "/tmp/fairkm_bench_out_of_core.fkps";
+    return data::PointStore::Create(
+               SyntheticWorld(kOutOfCoreN, kOutOfCoreD).features, spec)
         .ValueOrDie();
   }();
-  double evictions = 0.0;
   for (auto _ : state) {
-    auto sweep =
-        core::ShardedSweep::Create(store, &world.sensitive, options, 8)
+    auto solver =
+        core::FairKMSolver::Create(store, &world.sensitive, options)
             .ValueOrDie();
-    sweep.Init(uint64_t{42}).Abort();
-    sweep.Run().ValueOrDie();
-    evictions = static_cast<double>(sweep.stats().evictions);
-    benchmark::DoNotOptimize(sweep.solver().assignment().data());
+    solver.Init(uint64_t{42}).Abort();
+    solver.Run().ValueOrDie();
+    benchmark::DoNotOptimize(solver.assignment().data());
   }
-  state.counters["evictions"] = evictions;
 }
-BENCHMARK(BM_FairKM_SnapshotSweep_Sharded)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FairKM_OutOfCore_Mmap)->Unit(benchmark::kMillisecond);
 
 // Online engine pair (src/online/): _Admit measures the steady-state cost of
 // the live Eq. 1 insertion path — per admitted point the engine scores all k

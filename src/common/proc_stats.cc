@@ -29,8 +29,6 @@ size_t ReadStatusFieldBytes(const char* field) {
 
 }  // namespace
 
-size_t CurrentRssBytes() { return ReadStatusFieldBytes("VmRSS"); }
-
 size_t PeakRssBytes() { return ReadStatusFieldBytes("VmHWM"); }
 
 }  // namespace fairkm

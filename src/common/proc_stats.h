@@ -1,11 +1,11 @@
 // Process memory telemetry from /proc/self/status.
 //
 // The out-of-core sweep's whole contract is an RSS bound ("a 10M-point run
-// completes with resident memory below the dataset footprint"), so both the
-// bounded-RSS test and core::ShardedSweep's stats need a cheap, portable
-// reading of the process's resident set. Linux exposes it in
-// /proc/self/status as VmRSS (current) and VmHWM (high-water mark); on
-// platforms without procfs both readers return 0 and callers treat the
+// completes with resident memory below the dataset footprint"), so the
+// bounded-RSS test, the out-of-core scaling tool and the end-to-end
+// benchmark need a cheap, portable reading of the process's peak resident
+// set. Linux exposes it in /proc/self/status as VmHWM (high-water mark); on
+// platforms without procfs the reader returns 0 and callers treat the
 // telemetry as unavailable rather than failing the run.
 
 #ifndef FAIRKM_COMMON_PROC_STATS_H_
@@ -14,9 +14,6 @@
 #include <cstddef>
 
 namespace fairkm {
-
-/// \brief Current resident set size in bytes (VmRSS), or 0 if unknown.
-size_t CurrentRssBytes();
 
 /// \brief Peak resident set size in bytes (VmHWM), or 0 if unknown. The
 /// high-water mark covers the whole process lifetime, which is exactly what

@@ -54,7 +54,7 @@ struct FairKMOptions {
 
   /// \brief The one documented validity surface for this struct: every
   /// entry point that consumes FairKMOptions (FairKMSolver::Create,
-  /// core::ShardedSweep::Create) calls this instead of scattering ad-hoc
+  /// SupervisedRunner::Create) calls this instead of scattering ad-hoc
   /// checks. Rejected (kInvalidArgument):
   ///   * k <= 0,
   ///   * max_iterations <= 0,

@@ -18,18 +18,6 @@ namespace {
 // (infinities would poison the drift-delta subtractions with NaNs).
 constexpr double kEmptyRefillDrift = 1e30;
 
-// Full O(n) passes over the point store (norm cache, initial aggregates,
-// scratch SSE) stream in chunks of roughly this many bytes and evict behind
-// themselves, so a memory-mapped store never pages fully resident just to
-// build or finalize state — the same discipline as PointStore::Open's CRC
-// walk. EvictRows is a no-op for the memory backend, and eviction never
-// changes what a later read returns, so trajectories are unaffected.
-constexpr size_t kResidencyChunkBytes = size_t{8} << 20;
-
-size_t ResidencyChunkRows(size_t stride) {
-  return std::max<size_t>(1, kResidencyChunkBytes / (stride * sizeof(double)));
-}
-
 }  // namespace
 
 FairKMState::FairKMState(std::shared_ptr<const data::PointStore> store,
@@ -82,8 +70,9 @@ void FairKMState::BuildAggregates(cluster::Assignment initial) {
   assignment_ = std::move(initial);
   // The per-point norm cache is immutable: built once per state; a Reset
   // over the same rows skips the O(n d) pass and its allocation — the
-  // multi-seed fast path.
-  const size_t chunk_rows = ResidencyChunkRows(stride_);
+  // multi-seed fast path. Both passes stream in residency chunks and evict
+  // behind themselves, so an mmap store never pages fully resident here.
+  const size_t chunk_rows = data::ResidencyChunkRows(stride_);
   if (point_norms_.size() != n_) {
     point_norms_.assign(n_, 0.0);
     total_point_norm_ = 0.0;
@@ -916,7 +905,7 @@ double FairKMState::KMeansTerm() const {
   // matrix (store rows equal matrix rows in the first d_ lanes), so the two
   // agree bit for bit.
   double sse = 0.0;
-  const size_t chunk_rows = ResidencyChunkRows(stride_);
+  const size_t chunk_rows = data::ResidencyChunkRows(stride_);
   for (size_t base = 0; base < n_; base += chunk_rows) {
     const size_t end = std::min(n_, base + chunk_rows);
     for (size_t i = base; i < end; ++i) {

@@ -29,6 +29,7 @@ FairKMSolver::FairKMSolver(std::shared_ptr<const data::PointStore> store,
       batch_size_(options.minibatch_size > 0
                       ? static_cast<size_t>(options.minibatch_size)
                       : store_->rows()),
+      residency_rows_(data::ResidencyChunkRows(store_->stride())),
       // Bound-gated pruning (core/pruning.h): on unless the options or the
       // FAIRKM_DISABLE_PRUNING escape hatch turn it off. k = 1 has no
       // candidate moves to gate, so skip the bookkeeping entirely.
@@ -137,10 +138,10 @@ bool FairKMSolver::ApplyBestMove(size_t i, const double* km_deltas) {
   return true;
 }
 
-void FairKMSolver::ProcessBatchSerial(size_t batch_start, size_t batch_end) {
+void FairKMSolver::ProcessRows(size_t begin, size_t end) {
   const uint64_t cands_per_point = static_cast<uint64_t>(options_.k - 1);
   double* dists = pruner_ ? km_dists_.data() : nullptr;
-  for (size_t i = batch_start; i < batch_end; ++i) {
+  for (size_t i = begin; i < end; ++i) {
     total_candidates_ += cands_per_point;
     if (pruner_ && pruner_->ShouldPrune(i)) {
       pruned_candidates_ += cands_per_point;
@@ -163,7 +164,19 @@ FairKMSolver::BatchesOutcome FairKMSolver::RunBatches(
     const size_t batch_start = next_point_;
     const size_t batch_end = std::min(n_, batch_start + batch_size_);
     Timer batch_timer;
-    ProcessBatchSerial(batch_start, batch_end);
+    // A sweep reads each row once, in order, so a residency chunk the cursor
+    // has passed is not read again until the next sweep: evict it there, as
+    // every other O(n) pass does. The cuts depend only on row positions, so
+    // cancel, resume, re-Init and Restore carry no eviction state, and the
+    // sub-ranges run the same sequential loop as one call over the batch.
+    for (size_t begin = batch_start; begin < batch_end;) {
+      const size_t chunk_begin = begin / residency_rows_ * residency_rows_;
+      const size_t chunk_end = std::min(n_, chunk_begin + residency_rows_);
+      const size_t end = std::min(batch_end, chunk_end);
+      ProcessRows(begin, end);
+      if (end == chunk_end) store_->EvictRows(chunk_begin, chunk_end);
+      begin = end;
+    }
     // Re-synchronize the prototype snapshot at every mini-batch boundary
     // (the one-shot path refreshed interior boundaries in the loop and the
     // final batch after it — once per batch either way).
@@ -321,16 +334,14 @@ Result<FairKMResult> FairKMSolver::CurrentResult() const {
   result.assignment = state_->assignment();
   // Centroids (row-major sums, then one 1/|C| scale) and SSE, in the order
   // cluster::FinalizeResult computes them over a matrix of the same rows,
-  // so the two agree bit for bit. Both passes stream in chunks and evict
-  // behind themselves, keeping the finalize RSS-bounded on mmap stores
+  // so the two agree bit for bit. Both passes stream in residency chunks and
+  // evict behind themselves, keeping the finalize RSS-bounded on mmap stores
   // (eviction never changes a read).
   const size_t k = static_cast<size_t>(options_.k);
-  const size_t chunk_rows = std::max<size_t>(
-      1, (size_t{8} << 20) / (store_->stride() * sizeof(double)));
   data::Matrix centroids(k, cols_);
   std::vector<size_t> sizes(k, 0);
-  for (size_t base = 0; base < n_; base += chunk_rows) {
-    const size_t end = std::min(n_, base + chunk_rows);
+  for (size_t base = 0; base < n_; base += residency_rows_) {
+    const size_t end = std::min(n_, base + residency_rows_);
     for (size_t i = base; i < end; ++i) {
       const size_t c = static_cast<size_t>(result.assignment[i]);
       ++sizes[c];
@@ -347,8 +358,8 @@ Result<FairKMResult> FairKMSolver::CurrentResult() const {
     for (size_t j = 0; j < cols_; ++j) acc[j] *= inv;
   }
   double sse = 0.0;
-  for (size_t base = 0; base < n_; base += chunk_rows) {
-    const size_t end = std::min(n_, base + chunk_rows);
+  for (size_t base = 0; base < n_; base += residency_rows_) {
+    const size_t end = std::min(n_, base + residency_rows_);
     for (size_t i = base; i < end; ++i) {
       sse += data::SquaredDistance(
           store_->Row(i),

@@ -168,8 +168,9 @@ class FairKMSolver {
   /// \brief Validates `options` and binds a non-empty, finite PointStore
   /// (shared ownership). No per-run state is built yet. With the mmap
   /// backend the dataset never enters the process heap — rows are read
-  /// straight off the read-only mapping, and PointStore::EvictRows lets a
-  /// sharded driver (core/sharded_sweep.h) bound the resident set.
+  /// straight off the read-only mapping, and every pass, the sweep
+  /// included, evicts each residency chunk (data::ResidencyChunkRows) once
+  /// its cursor is past it, so the resident set stays bounded.
   static Result<FairKMSolver> Create(
       std::shared_ptr<const data::PointStore> store,
       const data::SensitiveView* sensitive, const FairKMOptions& options);
@@ -320,7 +321,7 @@ class FairKMSolver {
   enum class BatchesOutcome { kSweepComplete, kStopped };
   BatchesOutcome RunBatches(const ProgressCallback& progress, double deadline,
                             double spent_before, RunStop* stop);
-  void ProcessBatchSerial(size_t batch_start, size_t batch_end);
+  void ProcessRows(size_t begin, size_t end);
   bool ApplyBestMove(size_t i, const double* km_deltas);
 
   std::shared_ptr<const data::PointStore> store_;
@@ -331,6 +332,7 @@ class FairKMSolver {
   double lambda_ = 0.0;
   bool minibatch_ = false;
   size_t batch_size_ = 0;
+  size_t residency_rows_ = 0;  // data::ResidencyChunkRows(store stride).
   bool pruning_ = false;
 
   // Session state, built at the first Init and reused afterwards.

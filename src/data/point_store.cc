@@ -29,10 +29,6 @@ constexpr size_t kFrameBytes = 16;         // tag, payload_size, crc
 constexpr size_t kFramePrefixBytes = 12;   // tag + payload_size (CRC'd part)
 constexpr size_t kMetaPayloadBytes = 24;   // rows, cols, stride as u64
 
-// How many row bytes the RSS-bounded walks (Open verification,
-// ValidateFiniteStore) process between evictions.
-constexpr size_t kWalkChunkBytes = size_t{8} << 20;
-
 size_t RoundUp(size_t v, size_t align) {
   return (v + align - 1) / align * align;
 }
@@ -548,8 +544,7 @@ Result<std::shared_ptr<const PointStore>> PointStore::Open(
   }
   uint32_t crc = Crc32c(rows_frame, kFramePrefixBytes);
   crc = Crc32cExtend(crc, bytes + layout.rows_payload_off, layout.pad());
-  const size_t rows_per_chunk =
-      std::max<size_t>(1, kWalkChunkBytes / (stride * sizeof(double)));
+  const size_t rows_per_chunk = ResidencyChunkRows(stride);
   for (size_t r = 0; r < rows; r += rows_per_chunk) {
     const size_t chunk_end = std::min(rows, r + rows_per_chunk);
     // Guarded probe: a file truncated since the fstat above would SIGBUS on
@@ -654,10 +649,14 @@ void PointStore::EvictRows(size_t begin, size_t end) const {
   }
 }
 
+size_t ResidencyChunkRows(size_t stride) {
+  constexpr size_t kChunkBytes = size_t{8} << 20;
+  const size_t stride_bytes = stride * sizeof(double);
+  return std::max<size_t>(1, stride_bytes > 0 ? kChunkBytes / stride_bytes : 1);
+}
+
 Status ValidateFiniteStore(const PointStore& store, const std::string& what) {
-  const size_t stride_bytes = store.stride() * sizeof(double);
-  const size_t rows_per_chunk =
-      std::max<size_t>(1, stride_bytes > 0 ? kWalkChunkBytes / stride_bytes : 1);
+  const size_t rows_per_chunk = ResidencyChunkRows(store.stride());
   for (size_t r = 0; r < store.rows(); r += rows_per_chunk) {
     const size_t chunk_end = std::min(store.rows(), r + rows_per_chunk);
     FAIRKM_RETURN_NOT_OK(store.CheckBacking());

@@ -29,8 +29,10 @@
 //     read-only. mmap regions are page-aligned, so every row keeps the
 //     32-byte alignment guarantee and Row() stays a raw pointer add on the
 //     hot path — the kernel pages rows in on first touch and EvictRows()
-//     hands fully-swept shards back, which is what bounds RSS below the
-//     dataset footprint for out-of-core runs (core::ShardedSweep).
+//     hands back each residency chunk (ResidencyChunkRows) once a pass is
+//     past it, which is what bounds RSS below the dataset footprint for
+//     out-of-core runs: every O(n) walk, and the FairKM sweep itself, evicts
+//     behind its own cursor.
 //
 // The store is read-only after construction, so concurrent readers need no
 // synchronization. Mmap-backed stores own a file mapping, so PointStore is
@@ -224,9 +226,15 @@ class PointStore {
   PointStoreSpec::Backend backend_ = PointStoreSpec::Backend::kMemory;
 };
 
+/// \brief Rows per residency chunk: the ~8 MiB of padded row data that every
+/// sequential pass over a store (Open's CRC walk, ValidateFiniteStore, the
+/// FairKM state build, finalize and sweep) reads before evicting it. At
+/// least 1; 1 for a zero stride.
+size_t ResidencyChunkRows(size_t stride);
+
 /// \brief kInvalidArgument when any stored value in the first cols() lanes
 /// is NaN/Inf — the store-backed analogue of data::ValidateFinite. Scans in
-/// shard-sized chunks and evicts behind itself so the check is RSS-bounded
+/// residency chunks and evicts behind itself so the check is RSS-bounded
 /// on mmap stores.
 Status ValidateFiniteStore(const PointStore& store, const std::string& what);
 

@@ -136,70 +136,53 @@ endif()
 
 message(STATUS "fairkm_cli checkpoint + fault-injection smoke test passed")
 
-# --- Out-of-core: the mmap store + sharded sweep must produce the same
+# --- Out-of-core: a session over the mmap store must produce the same
 # output CSV as the in-memory run at equal options and seed (bit-identical
-# sharded trajectory), and report the store/shard telemetry. ---
+# trajectory), with and without mini-batching, and report the store. ---
 
-set(mem_output "${WORK_DIR}/tiny_mem.csv")
-set(mmap_output "${WORK_DIR}/tiny_mmap.csv")
 set(store_file "${WORK_DIR}/tiny.fkps")
-file(REMOVE "${mem_output}" "${mmap_output}" "${store_file}")
+foreach(minibatch 4 0)
+  set(mem_output "${WORK_DIR}/tiny_mem_${minibatch}.csv")
+  set(mmap_output "${WORK_DIR}/tiny_mmap_${minibatch}.csv")
+  file(REMOVE "${mem_output}" "${mmap_output}" "${store_file}")
 
-execute_process(
-  COMMAND "${FAIRKM_CLI}"
-          --input "${input}" --output "${mem_output}"
-          --sensitive gender --method fairkm --k 2 --seed 7
-          --minibatch 4
-  RESULT_VARIABLE exit_code
-  OUTPUT_VARIABLE stdout
-  ERROR_VARIABLE stderr)
-if(NOT exit_code EQUAL 0)
-  message(FATAL_ERROR "in-memory mini-batch run exited with ${exit_code}\nstdout:\n${stdout}\nstderr:\n${stderr}")
-endif()
+  execute_process(
+    COMMAND "${FAIRKM_CLI}"
+            --input "${input}" --output "${mem_output}"
+            --sensitive gender --method fairkm --k 2 --seed 7
+            --minibatch ${minibatch}
+    RESULT_VARIABLE exit_code
+    OUTPUT_VARIABLE stdout
+    ERROR_VARIABLE stderr)
+  if(NOT exit_code EQUAL 0)
+    message(FATAL_ERROR "in-memory run (minibatch ${minibatch}) exited with ${exit_code}\nstdout:\n${stdout}\nstderr:\n${stderr}")
+  endif()
 
-execute_process(
-  COMMAND "${FAIRKM_CLI}"
-          --input "${input}" --output "${mmap_output}"
-          --sensitive gender --method fairkm --k 2 --seed 7
-          --minibatch 4
-          --store "mmap:${store_file}" --shards 2
-  RESULT_VARIABLE exit_code
-  OUTPUT_VARIABLE stdout
-  ERROR_VARIABLE stderr)
-if(NOT exit_code EQUAL 0)
-  message(FATAL_ERROR "mmap sharded run exited with ${exit_code}\nstdout:\n${stdout}\nstderr:\n${stderr}")
-endif()
-foreach(needle "store: ${store_file}" "sharded sweep: ")
-  string(FIND "${stdout}" "${needle}" pos)
+  execute_process(
+    COMMAND "${FAIRKM_CLI}"
+            --input "${input}" --output "${mmap_output}"
+            --sensitive gender --method fairkm --k 2 --seed 7
+            --minibatch ${minibatch}
+            --store "mmap:${store_file}"
+    RESULT_VARIABLE exit_code
+    OUTPUT_VARIABLE stdout
+    ERROR_VARIABLE stderr)
+  if(NOT exit_code EQUAL 0)
+    message(FATAL_ERROR "mmap run (minibatch ${minibatch}) exited with ${exit_code}\nstdout:\n${stdout}\nstderr:\n${stderr}")
+  endif()
+  string(FIND "${stdout}" "store: ${store_file}" pos)
   if(pos EQUAL -1)
-    message(FATAL_ERROR "stdout missing \"${needle}\":\n${stdout}")
+    message(FATAL_ERROR "stdout missing \"store: ${store_file}\":\n${stdout}")
+  endif()
+  if(NOT EXISTS "${store_file}")
+    message(FATAL_ERROR "mmap run did not write the store file ${store_file}")
+  endif()
+
+  file(READ "${mem_output}" mem_csv)
+  file(READ "${mmap_output}" mmap_csv)
+  if(NOT mem_csv STREQUAL mmap_csv)
+    message(FATAL_ERROR "mmap output (minibatch ${minibatch}) differs from the in-memory run:\n--- mem:\n${mem_csv}\n--- mmap:\n${mmap_csv}")
   endif()
 endforeach()
-if(NOT EXISTS "${store_file}")
-  message(FATAL_ERROR "mmap run did not write the store file ${store_file}")
-endif()
-
-file(READ "${mem_output}" mem_csv)
-file(READ "${mmap_output}" mmap_csv)
-if(NOT mem_csv STREQUAL mmap_csv)
-  message(FATAL_ERROR "mmap sharded output differs from the in-memory run:\n--- mem:\n${mem_csv}\n--- mmap:\n${mmap_csv}")
-endif()
-
-# A requested mmap store without mini-batching must fail with the
-# actionable message, not fall back silently.
-execute_process(
-  COMMAND "${FAIRKM_CLI}"
-          --input "${input}" --sensitive gender --method fairkm --k 2 --seed 7
-          --store "mmap:${store_file}"
-  RESULT_VARIABLE exit_code
-  OUTPUT_VARIABLE stdout
-  ERROR_VARIABLE stderr)
-if(NOT exit_code EQUAL 1)
-  message(FATAL_ERROR "mmap-without-minibatch run should exit 1, got ${exit_code}\nstdout:\n${stdout}\nstderr:\n${stderr}")
-endif()
-string(FIND "${stderr}" "requires --minibatch > 0" pos)
-if(pos EQUAL -1)
-  message(FATAL_ERROR "stderr missing the --minibatch requirement:\n${stderr}")
-endif()
 
 message(STATUS "fairkm_cli out-of-core smoke test passed")

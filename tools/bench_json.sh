@@ -40,9 +40,9 @@
 #      on the paper's own workload, not just on synthetic data.
 #   5. Solver reuse: BM_FairKM_MultiSeed_Cold (fresh FairKMSolver per seed)
 #      vs BM_FairKM_MultiSeed_Reused (one solver re-Init'ed per seed, the
-#      session API's warm path) must show >= MIN_REUSE_SPEEDUP (default
-#      1.03; ~1.1x measured — trajectories are bit-identical, the gate
-#      asserts the amortized construction actually pays).
+#      session API's warm path) must show a median ratio >= MIN_REUSE_SPEEDUP
+#      (default 1.03; ~1.1x measured — trajectories are bit-identical, the
+#      gate asserts the amortized construction actually pays).
 #   6. Batched serving: BM_Assign_Scalar (the tests/testlib scalar oracle,
 #      naive per-candidate distance loop) vs BM_Assign_Batched (the core
 #      insertion scorer, core::AssignToModel: expanded-form distances on
@@ -51,14 +51,22 @@
 #      on host — the gate asserts batching pays, not a specific margin, so
 #      the floor leaves headroom for slower containers). Bit-identical
 #      (tests/serve_assign_test.cc); only the scoring loop differs.
-#   7. Sharded-sweep overhead: BM_FairKM_SnapshotSweep_Sharded (mmap store +
-#      core::ShardedSweep eviction) vs BM_FairKM_SnapshotSweep_InProcess
-#      (in-memory store; both run the serial mini-batch sweep at the
-#      same options and seed, bit-identical trajectory) must stay within
+#   7. Out-of-core overhead: BM_FairKM_OutOfCore_Mmap (a solver session
+#      over an mmap store, its sweep evicting rows behind the cursor) vs
+#      BM_FairKM_OutOfCore_Mem (the same session over an in-memory store;
+#      both run the serial mini-batch sweep at the same options and seed,
+#      bit-identical trajectory) must keep a median ratio within
 #      MAX_SHARDED_OVERHEAD (default 1.15) — out-of-core residency control
 #      is bought with madvise calls and page refaults, not with a slower
-#      sweep. Store materialization is excluded (the store is built once
-#      outside the timed loop).
+#      sweep. The 100000 x 32 rows span three residency chunks and a bit,
+#      so the mmap sweep evicts mid-sweep. The mmap store file is written
+#      once, outside the timed loop.
+#      Gates 5 and 7 time ~70-350 ms benches whose run-to-run spread on a
+#      shared host is wider than their bounds (unchanged code has read
+#      0.89-1.21x on gate 5 and 0.72-1.63x on gate 7 from one sample per
+#      side), so each pair runs PAIR_RUNS (9) more times, both benches in
+#      one invocation, and the gate reads the median ratio over all ten
+#      runs. Every ratio is recorded under `gate_ratios` in $OUT.
 #   8. Online admit throughput: the points_per_sec counter of
 #      BM_Online_Admit (live Eq. 1 insertion scoring + store append + state
 #      adoption + dataset-distribution refresh, batches of 64 against a
@@ -98,7 +106,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-bench}
 OUT=${OUT:-BENCH_scaling.json}
-FILTER=${FILTER:-'Assign_|SweepCandidates|FairKM_AllAttributes|FairKM_MiniBatch|FairKM_MultiSeed|FairKM_SnapshotSweep|FairKM_Sweep|MoveDeltaEvaluation|KernelGemv|KernelCatMoments|ActiveKernelBackend|BuildConfig|Online_|Silhouette_Scalar|Silhouette_Dispatch'}
+FILTER=${FILTER:-'Assign_|SweepCandidates|FairKM_AllAttributes|FairKM_MiniBatch|FairKM_MultiSeed|FairKM_OutOfCore|FairKM_Sweep|MoveDeltaEvaluation|KernelGemv|KernelCatMoments|ActiveKernelBackend|BuildConfig|Online_|Silhouette_Scalar|Silhouette_Dispatch'}
 MIN_TIME=${MIN_TIME:-0.2}
 MIN_SPEEDUP=${MIN_SPEEDUP:-2.0}
 MIN_SIMD_RATIO=${MIN_SIMD_RATIO:-0.9}
@@ -148,6 +156,38 @@ if [[ -n "$SHARDED_PREV" ]]; then
   jq --argjson s "$SHARDED_PREV" '. + {sharded_scaling: $s}' "$OUT" > "$OUT.tmp"
   mv "$OUT.tmp" "$OUT"
 fi
+
+# Gates 5 and 7 read a median over repeated invocations of their pair (see
+# the header). Repeated invocations, not --benchmark_repetitions, because
+# the vendored benchmark shim ignores that flag.
+PAIR_RUNS=9
+# Prints the JSON array of $1/$2 real_time ratios: the main run's, then one
+# per extra invocation of just the pair.
+pair_ratios() {
+  local ratio='[(.benchmarks[] | select(.name == $a) | .real_time)
+                / (.benchmarks[] | select(.name == $b) | .real_time)]'
+  local ratios
+  ratios=$(jq -c --arg a "$1" --arg b "$2" "$ratio" "$OUT")
+  for ((run = 0; run < PAIR_RUNS; run++)); do
+    "$BENCH" \
+      --benchmark_filter="^($1|$2)\$" \
+      --benchmark_min_time="$MIN_TIME" \
+      --benchmark_out="$OUT.pair" \
+      --benchmark_out_format=json > /dev/null
+    ratios=$(jq -c --argjson r "$ratios" --arg a "$1" --arg b "$2" \
+      "\$r + $ratio" "$OUT.pair")
+  done
+  rm -f "$OUT.pair"
+  echo "$ratios"
+}
+REUSE_RATIOS=$(pair_ratios BM_FairKM_MultiSeed_Cold BM_FairKM_MultiSeed_Reused)
+OUT_OF_CORE_RATIOS=$(pair_ratios BM_FairKM_OutOfCore_Mmap BM_FairKM_OutOfCore_Mem)
+jq --argjson reuse "$REUSE_RATIOS" --argjson ooc "$OUT_OF_CORE_RATIOS" \
+  '. + {gate_ratios: {solver_reuse_speedup: $reuse, out_of_core_overhead: $ooc}}' \
+  "$OUT" > "$OUT.tmp"
+mv "$OUT.tmp" "$OUT"
+MEDIAN='def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+                          else (.[length / 2 - 1] + .[length / 2]) / 2 end;'
 
 # Gate 0: the binary must have been compiled with NDEBUG (Release); the
 # BM_BuildConfig_<type> marker stamps that into the record itself.
@@ -216,11 +256,10 @@ jq -e --argjson min "$MIN_PRUNED_FRACTION" '
 # Gate 5: reusing one FairKMSolver across seeds must beat constructing a
 # cold solver per seed (same seeds, bit-identical trajectories — only the
 # per-seed setup work differs).
-jq -e --argjson min "$MIN_REUSE_SPEEDUP" '
-  (.benchmarks[] | select(.name == "BM_FairKM_MultiSeed_Cold") | .real_time) as $cold
-  | (.benchmarks[] | select(.name == "BM_FairKM_MultiSeed_Reused") | .real_time) as $reused
-  | ($cold / $reused) as $speedup
-  | "multi-seed solver-reuse speedup: \($speedup * 100 | round / 100)x (cold \($cold) vs reused \($reused))",
+jq -e --argjson min "$MIN_REUSE_SPEEDUP" "$MEDIAN"'
+  .gate_ratios.solver_reuse_speedup as $ratios
+  | ($ratios | median) as $speedup
+  | "multi-seed solver-reuse speedup: median \($speedup * 100 | round / 100)x over \($ratios | length) runs (cold/reused: \([$ratios[] * 100 | round / 100]))",
     (if $speedup >= $min then "OK: >= \($min)x"
      else error("solver-reuse speedup \($speedup) below required \($min)x") end)
 ' "$OUT"
@@ -238,19 +277,15 @@ jq -e --argjson min "$MIN_ASSIGN_SPEEDUP" '
      else error("batched-assign speedup \($speedup) below required \($min)x") end)
 ' "$OUT"
 
-# Gate 7: the sharded out-of-core sweep walks the same trajectory as the
-# in-process serial mini-batch sweep (tests/sharded_sweep_test.cc pins
-# bit-identity);
-# this gate bounds what the residency control COSTS. Eviction counters are
-# recorded in the sharded entry for trend tracking.
-jq -e --argjson max "$MAX_SHARDED_OVERHEAD" '
-  (.benchmarks[] | select(.name == "BM_FairKM_SnapshotSweep_InProcess") | .real_time) as $mem
-  | (.benchmarks[] | select(.name == "BM_FairKM_SnapshotSweep_Sharded") | .real_time) as $sharded
-  | (.benchmarks[] | select(.name == "BM_FairKM_SnapshotSweep_Sharded") | .evictions // 0) as $evictions
-  | ($sharded / $mem) as $overhead
-  | "sharded-sweep overhead: \($overhead * 100 | round / 100)x (in-process \($mem) vs sharded \($sharded); \($evictions | round) evictions/iter)",
+# Gate 7: a session over the mmap store walks the same trajectory as one
+# over the in-memory store (tests/out_of_core_sweep_test.cc pins
+# bit-identity); this gate bounds what the residency control COSTS.
+jq -e --argjson max "$MAX_SHARDED_OVERHEAD" "$MEDIAN"'
+  .gate_ratios.out_of_core_overhead as $ratios
+  | ($ratios | median) as $overhead
+  | "out-of-core overhead: median \($overhead * 100 | round / 100)x over \($ratios | length) runs (mmap/mem: \([$ratios[] * 100 | round / 100]))",
     (if $overhead <= $max then "OK: <= \($max)x"
-     else error("sharded sweep overhead \($overhead) above allowed \($max)x") end)
+     else error("out-of-core overhead \($overhead) above allowed \($max)x") end)
 ' "$OUT"
 
 # Gate 8: the online admit path must sustain incremental throughput. The

@@ -23,7 +23,6 @@
 #include "core/fairkm.h"
 #include "core/fairkm_state.h"
 #include "core/kernels/kernels.h"
-#include "core/sharded_sweep.h"
 #include "core/solver.h"
 #include "core/supervisor.h"
 #include "data/dataset.h"
@@ -499,9 +498,10 @@ Status Run(const ArgParser& args) {
   const std::string method = ToLower(args.GetString("method"));
   Rng rng(seed);
 
-  // Uniform method selection through the cluster::Clusterer registry. The
-  // FairKM entry takes its full typed options (the generic registry knobs
-  // cover only the shared subset — k/lambda/iterations/attribute).
+  // FairKM runs a solver session with its full typed options (the generic
+  // registry knobs cover only the shared subset — k/lambda/iterations/
+  // attribute); every other method goes through the cluster::Clusterer
+  // registry, whose unknown-name error lists fairkm too once registered.
   core::EnsureFairKMClustererRegistered();
   const std::string checkpoint_dir = args.GetString("checkpoint-dir");
   if (!checkpoint_dir.empty() && method != "fairkm") {
@@ -513,7 +513,6 @@ Status Run(const ArgParser& args) {
   if (args.GetBool("supervise") && method != "fairkm") {
     return Status::InvalidArgument("--supervise requires --method fairkm");
   }
-  std::unique_ptr<cluster::Clusterer> clusterer;
   if (method == "fairkm") {
     if (sensitive.empty()) {
       return Status::InvalidArgument("fairkm needs --sensitive attributes");
@@ -532,8 +531,7 @@ Status Run(const ArgParser& args) {
     if (args.GetBool("supervise")) {
       // Self-healing runtime (core/supervisor.h): divergence watchdog,
       // checkpoint rollback, and the I/O store demotion around the run.
-      // Works with either store backend (the supervised session drives the
-      // solver directly, not the sharded driver).
+      // Works with either store backend.
       core::SupervisorPolicy policy;
       policy.checkpoint_dir = checkpoint_dir;
       if (!checkpoint_dir.empty()) {
@@ -570,56 +568,15 @@ Status Run(const ArgParser& args) {
       return Report(args, method, matrix, sensitive, std::move(fair_result),
                     std::move(csv));
     }
-    if (store_spec.backend == data::PointStoreSpec::Backend::kMmap) {
-      // Out-of-core path: materialize the (scaled) matrix once into the
-      // aligned store file, map it read-only, and drive the sharded sweep —
-      // the dataset pages stream through the page cache instead of living
-      // on the heap, and each shard is evicted as the cursor passes it.
-      if (options.minibatch_size <= 0) {
-        return Status::InvalidArgument(
-            "--store=mmap:<path> requires --minibatch > 0 (the sharded "
-            "driver's shards are whole mini-batches)");
-      }
-      FAIRKM_ASSIGN_OR_RETURN(std::shared_ptr<const data::PointStore> store,
-                              data::PointStore::Create(matrix, store_spec));
-      FAIRKM_ASSIGN_OR_RETURN(
-          core::ShardedSweep sweep,
-          core::ShardedSweep::Create(store, &sensitive, options,
-                                     static_cast<int>(args.GetInt("shards"))));
-      FAIRKM_RETURN_NOT_OK(sweep.Init(&rng));
-      core::RunBudget budget;
-      if (!checkpoint_dir.empty()) {
-        budget.checkpoint_dir = checkpoint_dir;
-        budget.checkpoint_every =
-            static_cast<int>(args.GetInt("checkpoint-every"));
-        budget.resume = args.GetBool("resume");
-        if (budget.checkpoint_every <= 0) {
-          return Status::InvalidArgument("--checkpoint-every must be positive");
-        }
-      }
-      FAIRKM_ASSIGN_OR_RETURN(const core::RunStop stop, sweep.Run(budget));
-      const core::ShardedSweepStats& stats = sweep.stats();
-      std::printf("store: %s (%.1f MiB on disk)\n", store->file_path().c_str(),
-                  static_cast<double>(store->data_bytes()) / (1024.0 * 1024.0));
-      std::printf("sharded sweep: %d shards x %zu rows, %llu evictions, "
-                  "peak RSS %.1f MiB, stop = %s\n",
-                  stats.num_shards, stats.shard_rows,
-                  static_cast<unsigned long long>(stats.evictions),
-                  static_cast<double>(stats.peak_rss_bytes) / (1024.0 * 1024.0),
-                  RunStopName(stop));
-      FAIRKM_ASSIGN_OR_RETURN(core::FairKMResult fair_result,
-                              sweep.solver().CurrentResult());
-      return Report(args, method, matrix, sensitive, std::move(fair_result),
-                    std::move(csv));
-    }
-    if (checkpoint_dir.empty()) {
-      clusterer = core::MakeFairKMClusterer(options);
-    } else {
-      // Durable-checkpoint path: drive the solver session directly so the
-      // run auto-checkpoints (core/checkpoint_io.h format: temp file +
-      // fsync + atomic rename, CRC-verified on read) and --resume can pick
-      // up where a crashed or cancelled run stopped.
-      core::RunBudget budget;
+    // One session for every store: with mmap:<path> the (scaled) matrix is
+    // written once to the aligned store file and mapped read-only, and the
+    // sweep evicts each residency chunk behind its cursor, so the dataset
+    // streams through the page cache instead of living on the heap. With
+    // --checkpoint-dir the run auto-checkpoints (core/checkpoint_io.h:
+    // temp file + fsync + atomic rename, CRC-verified on read) and --resume
+    // picks up where a crashed or cancelled run stopped.
+    core::RunBudget budget;
+    if (!checkpoint_dir.empty()) {
       budget.checkpoint_dir = checkpoint_dir;
       budget.checkpoint_every =
           static_cast<int>(args.GetInt("checkpoint-every"));
@@ -627,28 +584,36 @@ Status Run(const ArgParser& args) {
       if (budget.checkpoint_every <= 0) {
         return Status::InvalidArgument("--checkpoint-every must be positive");
       }
-      FAIRKM_ASSIGN_OR_RETURN(
-          core::FairKMSolver solver,
-          core::FairKMSolver::Create(&matrix, &sensitive, options));
-      FAIRKM_RETURN_NOT_OK(solver.Init(&rng));
-      FAIRKM_ASSIGN_OR_RETURN(const core::RunStop stop, solver.Run(budget));
+    }
+    FAIRKM_ASSIGN_OR_RETURN(std::shared_ptr<const data::PointStore> store,
+                            data::PointStore::Create(matrix, store_spec));
+    FAIRKM_ASSIGN_OR_RETURN(
+        core::FairKMSolver solver,
+        core::FairKMSolver::Create(store, &sensitive, options));
+    FAIRKM_RETURN_NOT_OK(solver.Init(&rng));
+    FAIRKM_ASSIGN_OR_RETURN(const core::RunStop stop, solver.Run(budget));
+    if (store->backend() == data::PointStoreSpec::Backend::kMmap) {
+      std::printf("store: %s (%.1f MiB on disk)\n", store->file_path().c_str(),
+                  static_cast<double>(store->data_bytes()) / (1024.0 * 1024.0));
+    }
+    if (!checkpoint_dir.empty()) {
       std::printf("checkpoints: %s, every %d sweeps, stop = %s\n",
                   checkpoint_dir.c_str(), budget.checkpoint_every,
                   RunStopName(stop));
-      FAIRKM_ASSIGN_OR_RETURN(core::FairKMResult fair_result,
-                              solver.CurrentResult());
-      return Report(args, method, matrix, sensitive, std::move(fair_result),
-                    std::move(csv));
     }
-  } else {
-    cluster::ClustererOptions options;
-    options.k = k;
-    options.lambda = args.GetDouble("lambda");
-    // <= 0 keeps each method's own default (K-Means: 100 Lloyd iterations,
-    // ZGYA: 30 sweeps).
-    options.max_iterations = static_cast<int>(args.GetInt("max-iterations"));
-    FAIRKM_ASSIGN_OR_RETURN(clusterer, cluster::CreateClusterer(method, options));
+    FAIRKM_ASSIGN_OR_RETURN(core::FairKMResult fair_result,
+                            solver.CurrentResult());
+    return Report(args, method, matrix, sensitive, std::move(fair_result),
+                  std::move(csv));
   }
+  cluster::ClustererOptions options;
+  options.k = k;
+  options.lambda = args.GetDouble("lambda");
+  // <= 0 keeps each method's own default (K-Means: 100 Lloyd iterations,
+  // ZGYA: 30 sweeps).
+  options.max_iterations = static_cast<int>(args.GetInt("max-iterations"));
+  FAIRKM_ASSIGN_OR_RETURN(std::unique_ptr<cluster::Clusterer> clusterer,
+                          cluster::CreateClusterer(method, options));
   FAIRKM_ASSIGN_OR_RETURN(cluster::ClusteringResult result,
                           clusterer->Cluster(matrix, sensitive, &rng));
   return Report(args, method, matrix, sensitive, std::move(result),
@@ -677,11 +642,8 @@ int main(int argc, char** argv) {
                "FAIRKM_DISABLE_PRUNING=1 does the same)");
   args.AddFlag("store", "mem",
                "fairkm point storage: mem | mmap:<path> (write the aligned "
-               "store file once, map it read-only, run the out-of-core "
-               "sharded sweep; requires --minibatch > 0)");
-  args.AddFlag("shards", "0",
-               "fairkm --store=mmap: shards for the out-of-core sweep, each "
-               "evicted from the page cache as the sweep passes it (0 = auto)");
+               "store file once, map it read-only, and sweep out of core, "
+               "evicting rows behind the sweep cursor)");
   args.AddFlag("scale", "minmax", "feature scaling: minmax | zscore | none");
   args.AddFlag("kernels", "auto",
                "kernel backend: auto (cpuid dispatch) | scalar");

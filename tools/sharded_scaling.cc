@@ -1,8 +1,9 @@
 // Out-of-core scaling harness: streams synthetic datasets of increasing row
 // counts to mmap-backed point stores (the dataset never exists as an
-// in-process Matrix), sweeps each through core::ShardedSweep, and records a
-// JSON curve of {rows, dataset_bytes, sweep_seconds, peak_rss_bytes, ...} —
-// the evidence behind the "10M points with resident memory below the dataset
+// in-process Matrix), sweeps each with a core::FairKMSolver session over the
+// store (the sweep evicts rows behind its cursor), and records a JSON curve
+// of {rows, dataset_bytes, sweep_seconds, peak_rss_bytes, ...} — the
+// evidence behind the "10M points with resident memory below the dataset
 // footprint" claim in README.md and the `sharded_scaling` section of
 // BENCH_scaling.json (tools/bench_json.sh merges the output in).
 //
@@ -26,7 +27,6 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "core/fairkm.h"
-#include "core/sharded_sweep.h"
 #include "core/solver.h"
 #include "data/point_store.h"
 #include "data/sensitive.h"
@@ -39,15 +39,13 @@ struct CurvePoint {
   size_t dim = 0;
   size_t dataset_bytes = 0;
   double materialize_seconds = 0.0;  // FileWriter stream + verify-on-open
-  double sweep_seconds = 0.0;        // ShardedSweep Init + Run wall time
-  int shards = 0;
-  uint64_t evictions = 0;
+  double sweep_seconds = 0.0;        // solver Create + Init + Run wall time
   size_t peak_rss_bytes = 0;  // process VmHWM after this run
   double total_objective = 0.0;
 };
 
-Result<CurvePoint> RunOne(size_t n, size_t d, int k, int minibatch, int shards,
-                          int sweeps, const std::string& path) {
+Result<CurvePoint> RunOne(size_t n, size_t d, int k, int minibatch, int sweeps,
+                          const std::string& path) {
   CurvePoint point;
   point.rows = n;
   point.dim = d;
@@ -95,18 +93,16 @@ Result<CurvePoint> RunOne(size_t n, size_t d, int k, int minibatch, int shards,
 
   Timer sweep_timer;
   FAIRKM_ASSIGN_OR_RETURN(
-      core::ShardedSweep sweep,
-      core::ShardedSweep::Create(store, &sensitive, options, shards));
-  FAIRKM_RETURN_NOT_OK(sweep.Init(uint64_t{11}));
+      core::FairKMSolver solver,
+      core::FairKMSolver::Create(store, &sensitive, options));
+  FAIRKM_RETURN_NOT_OK(solver.Init(uint64_t{11}));
   core::RunBudget budget;
   budget.max_sweeps = sweeps;
-  FAIRKM_ASSIGN_OR_RETURN(core::RunStop stop, sweep.Run(budget));
+  FAIRKM_ASSIGN_OR_RETURN(core::RunStop stop, solver.Run(budget));
   (void)stop;
   point.sweep_seconds = sweep_timer.ElapsedSeconds();
-  point.shards = sweep.stats().num_shards;
-  point.evictions = sweep.stats().evictions;
   point.total_objective =
-      sweep.solver().Objective();  // O(k), no full-store finalize pass
+      solver.Objective();  // O(k), no full-store finalize pass
   point.peak_rss_bytes = PeakRssBytes();
   return point;
 }
@@ -122,11 +118,10 @@ std::string ToJson(const std::vector<CurvePoint>& curve) {
         buf, sizeof(buf),
         "    {\"rows\": %zu, \"dim\": %zu, \"dataset_bytes\": %zu, "
         "\"materialize_seconds\": %.3f, \"sweep_seconds\": %.3f, "
-        "\"shards\": %d, \"evictions\": %llu, \"peak_rss_bytes\": %zu, "
+        "\"peak_rss_bytes\": %zu, "
         "\"rss_over_dataset\": %.3f, \"total_objective\": %.6e}%s\n",
         p.rows, p.dim, p.dataset_bytes, p.materialize_seconds,
-        p.sweep_seconds, p.shards,
-        static_cast<unsigned long long>(p.evictions), p.peak_rss_bytes,
+        p.sweep_seconds, p.peak_rss_bytes,
         p.dataset_bytes > 0 ? static_cast<double>(p.peak_rss_bytes) /
                                   static_cast<double>(p.dataset_bytes)
                             : 0.0,
@@ -144,7 +139,6 @@ int Main(int argc, const char* const* argv) {
   args.AddFlag("dim", "32", "feature width");
   args.AddFlag("k", "8", "clusters");
   args.AddFlag("minibatch", "8192", "mini-batch size (prototype refresh)");
-  args.AddFlag("shards", "16", "shard count for the out-of-core sweep");
   args.AddFlag("sweeps", "2", "sweeps per run");
   args.AddFlag("dir", "/tmp/fairkm_sharded_scaling",
                "scratch directory for the store files");
@@ -190,7 +184,6 @@ int Main(int argc, const char* const* argv) {
         n, static_cast<size_t>(args.GetInt("dim")),
         static_cast<int>(args.GetInt("k")),
         static_cast<int>(args.GetInt("minibatch")),
-        static_cast<int>(args.GetInt("shards")),
         static_cast<int>(args.GetInt("sweeps")), path);
     if (!args.GetBool("keep-stores")) std::remove(path.c_str());
     if (!point.ok()) {
@@ -201,10 +194,9 @@ int Main(int argc, const char* const* argv) {
     const CurvePoint& p = point.ValueOrDie();
     std::printf(
         "n = %zu: dataset %.1f MiB, materialize %.2fs, sweep %.2fs, "
-        "%d shards, %llu evictions, peak RSS %.1f MiB (%.2fx dataset)\n",
+        "peak RSS %.1f MiB (%.2fx dataset)\n",
         p.rows, static_cast<double>(p.dataset_bytes) / (1 << 20),
-        p.materialize_seconds, p.sweep_seconds, p.shards,
-        static_cast<unsigned long long>(p.evictions),
+        p.materialize_seconds, p.sweep_seconds,
         static_cast<double>(p.peak_rss_bytes) / (1 << 20),
         p.dataset_bytes > 0 ? static_cast<double>(p.peak_rss_bytes) /
                                   static_cast<double>(p.dataset_bytes)
