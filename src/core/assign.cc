@@ -17,6 +17,51 @@ namespace {
 // row copies streaming-friendly.
 constexpr size_t kBlockRows = 256;
 
+// InsertionFairnessDelta with cluster `to`'s weights ClusterScale(|C|) and
+// ClusterScale(|C|+1) passed in, so a scoring loop computes them once per
+// call instead of once per (row, candidate).
+double ScaledInsertionFairnessDelta(const ModelExport& model,
+                                    const int32_t* cat_codes,
+                                    const double* num_values, int to,
+                                    double scale_to_before,
+                                    double scale_to_after) {
+  if (model.categorical.empty() && model.numeric.empty()) return 0.0;
+  const size_t ti = static_cast<size_t>(to);
+  const size_t c_to = model.counts[ti];
+  const FairKMState::FairnessMomentTables& mt = model.moments;
+
+  double delta = 0.0;
+  for (size_t a = 0; a < model.categorical.size(); ++a) {
+    const auto& attr = model.categorical[a];
+    const int card = attr.cardinality;
+    const int32_t v = cat_codes[a];
+    const double q_v = attr.dataset_fractions[static_cast<size_t>(v)];
+    const double norm =
+        model.config.normalize_domain ? 1.0 / static_cast<double>(card) : 1.0;
+    // Insertion sends u_s -> u_s - q_s + [s=v] (the target-cluster half of
+    // the closed form in core/fairkm_state.h).
+    const double u2_to = mt.cat_u2[a][ti];
+    const double uq_to = mt.cat_uq[a][ti];
+    const double u_v_to =
+        static_cast<double>(mt.cat_counts[a][ti * card + v]) -
+        static_cast<double>(c_to) * q_v;
+    const double after_to =
+        u2_to + mt.cat_q2[a] + 1.0 - 2.0 * (uq_to - u_v_to + q_v);
+    delta += attr.weight * norm *
+             (scale_to_after * after_to - scale_to_before * u2_to);
+  }
+  for (size_t a = 0; a < model.numeric.size(); ++a) {
+    const auto& attr = model.numeric[a];
+    const double mean = attr.dataset_mean;
+    const double u =
+        mt.num_sums[a][ti] - static_cast<double>(c_to) * mean;
+    const double u_after = u + num_values[a] - mean;
+    delta += attr.weight *
+             (scale_to_after * u_after * u_after - scale_to_before * u * u);
+  }
+  return delta;
+}
+
 }  // namespace
 
 void ExportClusterSlice(const FairKMState& state, int c, ModelExport* model) {
@@ -107,45 +152,11 @@ Status ValidateAssignRequest(const ModelExport& model,
 double InsertionFairnessDelta(const ModelExport& model,
                               const int32_t* cat_codes,
                               const double* num_values, int to) {
-  if (model.categorical.empty() && model.numeric.empty()) return 0.0;
-  const size_t ti = static_cast<size_t>(to);
-  const size_t c_to = model.counts[ti];
-  const double scale_to_before =
-      ClusterScale(model.config.weighting, c_to, model.num_rows);
-  const double scale_to_after =
-      ClusterScale(model.config.weighting, c_to + 1, model.num_rows);
-  const FairKMState::FairnessMomentTables& mt = model.moments;
-
-  double delta = 0.0;
-  for (size_t a = 0; a < model.categorical.size(); ++a) {
-    const auto& attr = model.categorical[a];
-    const int card = attr.cardinality;
-    const int32_t v = cat_codes[a];
-    const double q_v = attr.dataset_fractions[static_cast<size_t>(v)];
-    const double norm =
-        model.config.normalize_domain ? 1.0 / static_cast<double>(card) : 1.0;
-    // Insertion sends u_s -> u_s - q_s + [s=v] (the target-cluster half of
-    // the closed form in core/fairkm_state.h).
-    const double u2_to = mt.cat_u2[a][ti];
-    const double uq_to = mt.cat_uq[a][ti];
-    const double u_v_to =
-        static_cast<double>(mt.cat_counts[a][ti * card + v]) -
-        static_cast<double>(c_to) * q_v;
-    const double after_to =
-        u2_to + mt.cat_q2[a] + 1.0 - 2.0 * (uq_to - u_v_to + q_v);
-    delta += attr.weight * norm *
-             (scale_to_after * after_to - scale_to_before * u2_to);
-  }
-  for (size_t a = 0; a < model.numeric.size(); ++a) {
-    const auto& attr = model.numeric[a];
-    const double mean = attr.dataset_mean;
-    const double u =
-        mt.num_sums[a][ti] - static_cast<double>(c_to) * mean;
-    const double u_after = u + num_values[a] - mean;
-    delta += attr.weight *
-             (scale_to_after * u_after * u_after - scale_to_before * u * u);
-  }
-  return delta;
+  const size_t c_to = model.counts[static_cast<size_t>(to)];
+  return ScaledInsertionFairnessDelta(
+      model, cat_codes, num_values, to,
+      ClusterScale(model.config.weighting, c_to, model.num_rows),
+      ClusterScale(model.config.weighting, c_to + 1, model.num_rows));
 }
 
 void ScoreRows(const ModelExport& model, const data::Matrix& points,
@@ -181,16 +192,22 @@ void ScoreRows(const ModelExport& model, const data::Matrix& points,
   scratch->values.assign(model.numeric.size(), 0.0);
   // Per-cluster invariants hoisted out of the point loop: the candidate list
   // (empty clusters are never insertion targets, ascending ids preserve the
-  // smallest-id tie-break) and the |C|/(|C|+1) scaling — one division per
-  // cluster per call instead of per point.
+  // smallest-id tie-break), the |C|/(|C|+1) scaling and the two fairness
+  // weights — computed once per cluster per call instead of per point.
   scratch->cand.clear();
   scratch->scale.assign(k, 0.0);
+  scratch->fair_scale.assign(k, 0.0);
+  scratch->fair_scale_ins.assign(k, 0.0);
   for (size_t c = 0; c < k; ++c) {
     const size_t cnt = model.counts[c];
     if (cnt == 0) continue;
     scratch->cand.push_back(c);
     scratch->scale[c] =
         static_cast<double>(cnt) / static_cast<double>(cnt + 1);
+    scratch->fair_scale[c] =
+        ClusterScale(model.config.weighting, cnt, model.num_rows);
+    scratch->fair_scale_ins[c] =
+        ClusterScale(model.config.weighting, cnt + 1, model.num_rows);
   }
 
   for (size_t block = begin; block < end; block += block_rows) {
@@ -227,10 +244,11 @@ void ScoreRows(const ModelExport& model, const data::Matrix& points,
         if (dist < 0.0) dist = 0.0;
         double cost = scratch->scale[c] * dist;
         if (sensitive != nullptr) {
-          cost += model.lambda *
-                  InsertionFairnessDelta(model, scratch->codes.data(),
-                                         scratch->values.data(),
-                                         static_cast<int>(c));
+          cost += model.lambda * ScaledInsertionFairnessDelta(
+                                     model, scratch->codes.data(),
+                                     scratch->values.data(), static_cast<int>(c),
+                                     scratch->fair_scale[c],
+                                     scratch->fair_scale_ins[c]);
         }
         // Strict < with first-wins: ties break toward the smallest id.
         if (best_cluster < 0 || cost < best) {

@@ -103,6 +103,8 @@ struct AssignScratch {
   std::vector<double> dots;      ///< One x·mu_c row (k wide).
   std::vector<size_t> cand;      ///< Non-empty cluster ids, ascending.
   std::vector<double> scale;     ///< Per-cluster |C|/(|C|+1) insertion scale.
+  /// Per-cluster fairness weights ClusterScale(|C|) and ClusterScale(|C|+1).
+  std::vector<double> fair_scale, fair_scale_ins;
   std::vector<int32_t> codes;    ///< Gathered categorical codes of one point.
   std::vector<double> values;    ///< Gathered numeric values of one point.
 };
@@ -122,7 +124,9 @@ Status ValidateAssignRequest(const ModelExport& model,
 /// \brief Fairness-term change of inserting one out-of-sample point with
 /// the given sensitive values into cluster `to`, priced from the model's
 /// moment tables (the insertion half of FairKMState::DeltaFairness: no
-/// removal, the model's n and dataset-level fractions/means).
+/// removal, the model's n and dataset-level fractions/means). ScoreRows
+/// computes the same value with the two cluster weights hoisted out of its
+/// point loop; this per-call form is its test oracle.
 double InsertionFairnessDelta(const ModelExport& model,
                               const int32_t* cat_codes,
                               const double* num_values, int to);

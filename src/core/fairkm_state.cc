@@ -104,6 +104,10 @@ void FairKMState::BuildAggregates(cluster::Assignment initial) {
     const double* s = sums_.data() + static_cast<size_t>(c) * stride_;
     sum_norms_[static_cast<size_t>(c)] = kernels::Dot(s, s, stride_);
   }
+  scale_.resize(static_cast<size_t>(k_));
+  scale_ins_.resize(static_cast<size_t>(k_));
+  scale_rem_.resize(static_cast<size_t>(k_));
+  RefreshScales();
   // Per-attribute aggregates: resize the outer vectors once, .assign() the
   // inner ones so repeated Resets reuse their capacity.
   const size_t num_cat = sensitive_->categorical.size();
@@ -196,6 +200,7 @@ Status FairKMState::AdmitAppended(int to) {
     num_sums_[a][ti] += sensitive_->numeric[a].values[i];
   }
   n_ = store_->rows();
+  RefreshScales();
   return Status::OK();
 }
 
@@ -237,6 +242,7 @@ Status FairKMState::RetireSwapped(size_t r) {
   point_norms_[r] = point_norms_[last];
   point_norms_.pop_back();
   --n_;
+  RefreshScales();
   return Status::OK();
 }
 
@@ -273,6 +279,18 @@ Status FairKMState::RebuildFromStore(cluster::Assignment initial) {
   return Status::OK();
 }
 
+void FairKMState::RefreshScale(int c) {
+  const size_t ci = static_cast<size_t>(c);
+  const size_t cnt = counts_[ci];
+  scale_[ci] = ClusterScale(config_.weighting, cnt, n_);
+  scale_ins_[ci] = ClusterScale(config_.weighting, cnt + 1, n_);
+  scale_rem_[ci] = cnt >= 1 ? ClusterScale(config_.weighting, cnt - 1, n_) : 0.0;
+}
+
+void FairKMState::RefreshScales() {
+  for (int c = 0; c < k_; ++c) RefreshScale(c);
+}
+
 void FairKMState::RecomputeCatMoments(size_t a, int c) {
   const auto& attr = sensitive_->categorical[a];
   const int m = attr.cardinality;
@@ -287,10 +305,9 @@ void FairKMState::RecomputeCatMoments(size_t a, int c) {
 void FairKMState::RecomputeFairBounds(int c) {
   const size_t ci = static_cast<size_t>(c);
   const size_t cnt = counts_[ci];
-  const double scale_before = ClusterScale(config_.weighting, cnt, n_);
-  const double scale_ins_after = ClusterScale(config_.weighting, cnt + 1, n_);
-  const double scale_rem_after =
-      cnt >= 1 ? ClusterScale(config_.weighting, cnt - 1, n_) : 0.0;
+  const double scale_before = scale_[ci];
+  const double scale_ins_after = scale_ins_[ci];
+  const double scale_rem_after = scale_rem_[ci];
   double rem = 0.0, ins = 0.0;
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
@@ -350,33 +367,39 @@ double FairKMState::FairRemovalDelta(size_t i) const {
     const double u = num_sums_[a][fi] - static_cast<double>(c_from) * mean;
     const double u_after = u - x + mean;
     total += attr.weight *
-             (ClusterScale(config_.weighting, c_from - 1, n_) * u_after * u_after -
-              ClusterScale(config_.weighting, c_from, n_) * u * u);
+             (scale_rem_[fi] * u_after * u_after - scale_[fi] * u * u);
   }
   return total;
 }
 
-double FairKMState::FairInsertionDelta(size_t i, int c) const {
+void FairKMState::FairInsertionDeltaAllClusters(size_t i, double* out) const {
   FAIRKM_DCHECK(track_bounds_);
-  const size_t ci = static_cast<size_t>(c);
-  double total = 0.0;
+  const int from = assignment_[i];
+  const size_t k = static_cast<size_t>(k_);
+  std::fill(out, out + k, 0.0);
+  // Attribute by attribute over all clusters; each out[c] still adds its
+  // terms in attribute order, so the gate's decisions do not depend on the
+  // batching.
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
-    total += cat_ins_delta_[a][ci * static_cast<size_t>(attr.cardinality) +
-                               static_cast<size_t>(attr.codes[i])];
+    const size_t m = static_cast<size_t>(attr.cardinality);
+    const double* ins = cat_ins_delta_[a].data() +
+                        static_cast<size_t>(attr.codes[i]);
+    for (size_t c = 0; c < k; ++c) out[c] += ins[c * m];
   }
-  const size_t c_to = counts_[ci];
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
     const auto& attr = sensitive_->numeric[a];
     const double x = attr.values[i];
     const double mean = attr.dataset_mean;
-    const double u = num_sums_[a][ci] - static_cast<double>(c_to) * mean;
-    const double u_after = u + x - mean;
-    total += attr.weight *
-             (ClusterScale(config_.weighting, c_to + 1, n_) * u_after * u_after -
-              ClusterScale(config_.weighting, c_to, n_) * u * u);
+    const double* sums = num_sums_[a].data();
+    for (size_t c = 0; c < k; ++c) {
+      const double u = sums[c] - static_cast<double>(counts_[c]) * mean;
+      const double u_after = u + x - mean;
+      out[c] += attr.weight *
+                (scale_ins_[c] * u_after * u_after - scale_[c] * u * u);
+    }
   }
-  return total;
+  out[from] = 0.0;
 }
 
 void FairKMState::RescanInsertionBounds() {
@@ -666,6 +689,65 @@ double FairKMState::DeltaFairness(size_t i, int to) const {
   return delta;
 }
 
+void FairKMState::DeltaFairnessAllClusters(size_t i, double* out) const {
+  const size_t k = static_cast<size_t>(k_);
+  std::fill(out, out + k, 0.0);
+  if (sensitive_->empty()) return;
+  const int from = assignment_[i];
+  const size_t fi = static_cast<size_t>(from);
+  const size_t c_from = counts_[fi];
+  FAIRKM_DCHECK(c_from >= 1);
+
+  // Each attribute's origin half depends only on the point: price it once,
+  // then add every candidate's target half to it. The expressions and the
+  // per-candidate summation order are DeltaFairness's, term for term.
+  for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
+    const auto& attr = sensitive_->categorical[a];
+    const int m = attr.cardinality;
+    const int32_t v = attr.codes[i];
+    const double q_v = attr.dataset_fractions[v];
+    const double q2 = cat_q2_[a];
+    const double norm =
+        config_.normalize_domain ? 1.0 / static_cast<double>(m) : 1.0;
+    const double wn = attr.weight * norm;
+    const double* u2 = cat_u2_[a].data();
+    const double* uq = cat_uq_[a].data();
+    const int64_t* counts_v = cat_counts_[a].data() + v;
+
+    const double u_v_from = static_cast<double>(counts_v[fi * m]) -
+                            static_cast<double>(c_from) * q_v;
+    const double after_from = u2[fi] + q2 + 1.0 + 2.0 * (uq[fi] - u_v_from - q_v);
+    const double from_half = scale_rem_[fi] * after_from - scale_[fi] * u2[fi];
+
+    for (size_t c = 0; c < k; ++c) {
+      if (c == fi) continue;
+      const double u_v_to = static_cast<double>(counts_v[c * m]) -
+                            static_cast<double>(counts_[c]) * q_v;
+      const double after_to = u2[c] + q2 + 1.0 - 2.0 * (uq[c] - u_v_to + q_v);
+      out[c] += wn * (from_half + (scale_ins_[c] * after_to - scale_[c] * u2[c]));
+    }
+  }
+
+  for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
+    const auto& attr = sensitive_->numeric[a];
+    const double x = attr.values[i];
+    const double mean = attr.dataset_mean;
+    const double* sums = num_sums_[a].data();
+    const double u_from = sums[fi] - static_cast<double>(c_from) * mean;
+    const double u_from_after = u_from - x + mean;
+    const double from_half = scale_rem_[fi] * u_from_after * u_from_after -
+                             scale_[fi] * u_from * u_from;
+    for (size_t c = 0; c < k; ++c) {
+      if (c == fi) continue;
+      const double u_to = sums[c] - static_cast<double>(counts_[c]) * mean;
+      const double u_to_after = u_to + x - mean;
+      out[c] += attr.weight *
+                (from_half + (scale_ins_[c] * u_to_after * u_to_after -
+                              scale_[c] * u_to * u_to));
+    }
+  }
+}
+
 void FairKMState::ExportFairnessMoments(FairnessMomentTables* out) const {
   out->cat_counts = cat_counts_;
   out->cat_u2 = cat_u2_;
@@ -716,19 +798,78 @@ void FairKMState::SaveCheckpoint(Checkpoint* out) const {
   out->addf_best_cluster = addf_best_cluster_;
 }
 
-Status FairKMState::RestoreCheckpoint(const Checkpoint& cp) {
+Status FairKMState::ValidateCheckpoint(const Checkpoint& cp) const {
   FAIRKM_RETURN_NOT_OK(cluster::ValidateAssignment(cp.assignment, n_, k_));
-  if (cp.counts.size() != static_cast<size_t>(k_) ||
-      cp.sums.size() != static_cast<size_t>(k_) * stride_ ||
-      cp.cat_counts.size() != sensitive_->categorical.size() ||
-      cp.num_sums.size() != sensitive_->numeric.size()) {
-    return Status::InvalidArgument(
-        "checkpoint shape does not match this state's points/sensitive/k");
-  }
   if (cp.use_snapshot != use_snapshot_ || cp.track_bounds != track_bounds_) {
     return Status::InvalidArgument(
         "checkpoint was taken under different snapshot/bound-tracking modes");
   }
+  // Every table the sweep indexes unchecked must have this state's shape,
+  // inner tables included: a checkpoint of another session (say, an
+  // attribute with fewer values) would otherwise restore as OK and send the
+  // next sweep past the end of a count table.
+  const size_t k = static_cast<size_t>(k_);
+  const size_t num_cat = sensitive_->categorical.size();
+  const size_t num_num = sensitive_->numeric.size();
+  const size_t bound_k = track_bounds_ ? k : 0;
+  const auto rows_are = [](const auto& table, size_t rows, auto row_size) {
+    if (table.size() != rows) return false;
+    for (size_t a = 0; a < rows; ++a) {
+      if (table[a].size() != row_size(a)) return false;
+    }
+    return true;
+  };
+  const auto per_value = [&](size_t a) {
+    return k * static_cast<size_t>(sensitive_->categorical[a].cardinality);
+  };
+  const auto per_cluster = [k](size_t) { return k; };
+  const bool shapes_ok =
+      cp.counts.size() == k && cp.sums.size() == k * stride_ &&
+      cp.sum_norms.size() == k && rows_are(cp.cat_counts, num_cat, per_value) &&
+      rows_are(cp.num_sums, num_num, per_cluster) &&
+      rows_are(cp.cat_u2, num_cat, per_cluster) &&
+      rows_are(cp.cat_uq, num_cat, per_cluster) &&
+      cp.proto_counts.size() == k && cp.proto_sums.size() == k * stride_ &&
+      cp.proto_sum_norms.size() == k && cp.drift.size() == bound_k &&
+      rows_are(cp.cat_rem_delta, track_bounds_ ? num_cat : 0, per_value) &&
+      rows_are(cp.cat_ins_delta, track_bounds_ ? num_cat : 0, per_value) &&
+      cp.fair_rem_bound.size() == bound_k &&
+      cp.fair_ins_bound.size() == bound_k;
+  if (!shapes_ok) {
+    return Status::InvalidArgument(
+        "checkpoint shape does not match this state's points/sensitive/k");
+  }
+  if (cp.ins_best_cluster < -1 || cp.ins_best_cluster >= k_ ||
+      cp.addf_best_cluster < -1 || cp.addf_best_cluster >= k_) {
+    return Status::InvalidArgument(
+        "checkpoint best-cluster index outside [-1, k)");
+  }
+  // The counts must be the ones the assignment gives over this state's own
+  // codes: the fairness deltas read them as the truth.
+  std::vector<size_t> counts(k, 0);
+  for (const int32_t c : cp.assignment) ++counts[static_cast<size_t>(c)];
+  if (counts != cp.counts) {
+    return Status::InvalidArgument(
+        "checkpoint cluster sizes disagree with its assignment");
+  }
+  for (size_t a = 0; a < num_cat; ++a) {
+    const auto& attr = sensitive_->categorical[a];
+    std::vector<int64_t> cat_counts(per_value(a), 0);
+    for (size_t i = 0; i < n_; ++i) {
+      ++cat_counts[static_cast<size_t>(cp.assignment[i]) * attr.cardinality +
+                   attr.codes[i]];
+    }
+    if (cat_counts != cp.cat_counts[a]) {
+      return Status::InvalidArgument(
+          "checkpoint group counts of attribute \"" + attr.name +
+          "\" disagree with its assignment over this session's codes");
+    }
+  }
+  return Status::OK();
+}
+
+Status FairKMState::RestoreCheckpoint(const Checkpoint& cp) {
+  FAIRKM_RETURN_NOT_OK(ValidateCheckpoint(cp));
   assignment_ = cp.assignment;
   counts_ = cp.counts;
   sums_ = cp.sums;
@@ -752,6 +893,8 @@ Status FairKMState::RestoreCheckpoint(const Checkpoint& cp) {
   addf_best_ = cp.addf_best;
   addf_second_ = cp.addf_second;
   addf_best_cluster_ = cp.addf_best_cluster;
+  // Derived state, rebuilt from the counts just validated and restored.
+  RefreshScales();
   return Status::OK();
 }
 
@@ -873,6 +1016,8 @@ void FairKMState::Move(size_t i, int to) {
   sum_norms_[static_cast<size_t>(to)] = kernels::Dot(to_sums, to_sums, stride_);
   --counts_[static_cast<size_t>(from)];
   ++counts_[static_cast<size_t>(to)];
+  RefreshScale(from);
+  RefreshScale(to);
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
     const int32_t v = attr.codes[i];
@@ -947,8 +1092,7 @@ double FairKMState::FairnessTermCached() const {
                             ? 1.0 / static_cast<double>(attr.cardinality)
                             : 1.0;
     for (int c = 0; c < k_; ++c) {
-      const double scale =
-          ClusterScale(config_.weighting, counts_[static_cast<size_t>(c)], n_);
+      const double scale = scale_[static_cast<size_t>(c)];
       if (scale == 0.0) continue;
       total += attr.weight * norm * scale * cat_u2_[a][static_cast<size_t>(c)];
     }
@@ -957,7 +1101,7 @@ double FairKMState::FairnessTermCached() const {
     const auto& attr = sensitive_->numeric[a];
     for (int c = 0; c < k_; ++c) {
       const size_t cnt = counts_[static_cast<size_t>(c)];
-      const double scale = ClusterScale(config_.weighting, cnt, n_);
+      const double scale = scale_[static_cast<size_t>(c)];
       if (scale == 0.0) continue;
       const double u = num_sums_[a][static_cast<size_t>(c)] -
                        static_cast<double>(cnt) * attr.dataset_mean;

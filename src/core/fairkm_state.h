@@ -40,6 +40,21 @@
 // for the two touched clusters on Move (which is already O(m_S) there), so
 // they never accumulate floating-point drift.
 //
+// The sweep prices a point against all k clusters in one fairness pass
+// (DeltaFairnessAllClusters): each attribute's origin-cluster half depends
+// only on the point, so it is computed once, and every candidate's target
+// half is added to it in the same attribute order DeltaFairness uses, so
+// out[c] equals DeltaFairness(i, c) bit for bit. The per-cluster weights
+// ClusterScale(|C|), ClusterScale(|C|+1) and ClusterScale(|C|-1) live in a
+// scale cache of three k-vectors, derived from the counts and n: built in
+// BuildAggregates (Create, Reset, RebuildFromStore), refreshed for the two
+// clusters of a Move, for every cluster in AdmitAppended/RetireSwapped
+// (n changes) and in RestoreCheckpoint. Both passes, FairRemovalDelta,
+// RecomputeFairBounds and FairnessTermCached read it; DeltaFairness and
+// ReferenceDeltaFairness call ClusterScale directly and stay the
+// per-candidate references the tests pin the cache against. The cache is
+// not part of a Checkpoint.
+//
 // Bound tracking (EnableBoundTracking) adds the cluster-level side of the
 // sweep pruning engine (core/pruning.h):
 //   * a monotone per-cluster centroid-drift accumulator (how far each
@@ -52,8 +67,9 @@
 //     recomputed only for clusters whose group counts moved) whose row
 //     minima give, per cluster, a lower bound on the fairness-term change of
 //     removing *any* point from it / inserting *any* point into it — and
-//     whose entries give the *exact* per-candidate fairness delta by table
-//     lookup (FairRemovalDelta / FairInsertionDelta);
+//     whose entries price a point's removal and its insertion into every
+//     cluster by table lookup (FairRemovalDelta /
+//     FairInsertionDeltaAllClusters);
 //   * the best/second-best insertion bound and smallest K-Means addition
 //     factor |C|/(|C|+1) across clusters, so the pruning gate's first stage
 //     is O(1) per point.
@@ -139,7 +155,12 @@ class FairKMState {
   };
   void SaveCheckpoint(Checkpoint* out) const;
   /// \brief Restores a checkpoint taken from a state over the same
-  /// points/sensitive/k and the same snapshot/bound-tracking modes.
+  /// points/sensitive/k and the same snapshot/bound-tracking modes. Rejects
+  /// with kInvalidArgument, before anything is overwritten, a checkpoint
+  /// whose tables do not have this state's shapes (every inner table
+  /// included), whose best-cluster indices fall outside [-1, k), or whose
+  /// cluster and group counts differ from the ones its assignment gives
+  /// over this state's sensitive codes.
   Status RestoreCheckpoint(const Checkpoint& cp);
 
   // --- Online growth hooks (src/online/). The caller mutates the backing
@@ -204,7 +225,14 @@ class FairKMState {
 
   /// \brief Exact change of the fairness deviation term for the same move,
   /// in O(1) per sensitive attribute (see the header comment derivation).
+  /// The per-candidate reference of DeltaFairnessAllClusters.
   double DeltaFairness(size_t i, int to) const;
+
+  /// \brief Batched fairness deltas: fills `out[c]` with DeltaFairness(i, c)
+  /// for every cluster, bit for bit (0 at the point's own cluster), in one
+  /// pass that prices each attribute's origin half once. `out` must have
+  /// room for k() doubles. The sweep's argmin reads this.
+  void DeltaFairnessAllClusters(size_t i, double* out) const;
 
   /// \brief Pre-expansion O(d) two-distance K-Means delta (oracle/bench).
   double ReferenceDeltaKMeans(size_t i, int to) const;
@@ -302,16 +330,19 @@ class FairKMState {
     return fair_ins_bound_[static_cast<size_t>(c)];
   }
 
-  /// \brief Exact fairness-term change of removing point i from its current
+  /// \brief Fairness-term change of removing point i from its current
   /// cluster, in O(|S|) table lookups (bound tracking only). The sum
-  /// FairRemovalDelta(i) + FairInsertionDelta(i, c) equals DeltaFairness(i,
-  /// c) up to summation-order rounding — the pruning gate's stage 2 uses
-  /// this split so the shared removal part prices once per point.
+  /// FairRemovalDelta(i) + FairInsertionDeltaAllClusters(i)[c] equals
+  /// DeltaFairness(i, c) up to rounding (the tables are weighted before
+  /// they are summed) — the pruning gate's stage 2 uses this split so the
+  /// shared removal part prices once per point.
   double FairRemovalDelta(size_t i) const;
 
-  /// \brief Exact fairness-term change of inserting point i into cluster c
-  /// (its removal not included), in O(|S|) table lookups.
-  double FairInsertionDelta(size_t i, int c) const;
+  /// \brief Fills `out[c]` with the fairness-term change of inserting point
+  /// i into cluster c (its removal not included) for every cluster, in one
+  /// pass of O(k |S|) table lookups; `out` at the point's own cluster is 0.
+  /// `out` must have room for k() doubles (bound tracking only).
+  void FairInsertionDeltaAllClusters(size_t i, double* out) const;
 
   // --- Model export (core::ModelExport, the insertion scorer's input).
 
@@ -345,6 +376,14 @@ class FairKMState {
               FairnessTermConfig config);
 
   void BuildAggregates(cluster::Assignment initial);
+
+  // RestoreCheckpoint's checks, run before anything is overwritten.
+  Status ValidateCheckpoint(const Checkpoint& cp) const;
+
+  // Refreshes cluster c's (or every cluster's) entries of the scale cache
+  // from counts_ and n_.
+  void RefreshScale(int c);
+  void RefreshScales();
 
   // Recomputes cat_u2_/cat_uq_ for one (attribute, cluster) pair from the
   // exact integer counts. O(m_a).
@@ -402,6 +441,14 @@ class FairKMState {
   std::vector<std::vector<double>> cat_u2_;
   std::vector<std::vector<double>> cat_uq_;
   std::vector<double> cat_q2_;
+
+  // Scale cache (see the header comment): scale_[c] = ClusterScale(|C|),
+  // scale_ins_[c] = ClusterScale(|C|+1) and scale_rem_[c] =
+  // ClusterScale(|C|-1) (0 for an empty cluster), under config_.weighting
+  // and n_.
+  std::vector<double> scale_;
+  std::vector<double> scale_ins_;
+  std::vector<double> scale_rem_;
 
   bool use_snapshot_ = false;
   std::vector<size_t> proto_counts_;

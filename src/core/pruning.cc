@@ -57,6 +57,7 @@ SweepPruner::SweepPruner(const FairKMState* state, double lambda,
   lbmin0_.assign(n, 0.0);
   max_drift_ref_.assign(n, 0.0);
   fresh_.assign(n, 0);
+  insertion_.assign(k_, 0.0);
 }
 
 double SweepPruner::UpperBound(size_t i) const {
@@ -105,23 +106,24 @@ double SweepPruner::GateLowerBound(size_t i) const {
                             std::fabs(fair_ins), state_->point_norm(i));
 }
 
-bool SweepPruner::ShouldPrune(size_t i) const {
+bool SweepPruner::ShouldPrune(size_t i) {
   if (fresh_[i] == 0) return false;
   // Stage 1: the O(1) fully-decoupled gate (cluster-level fairness bounds +
   // the global distance floor). Catches the fairness-balanced steady state
   // cheaply.
   if (GateLowerBound(i) >= -min_improvement_) return true;
-  // Stage 2: per-candidate gate — the fairness delta is evaluated exactly
-  // from the maintained per-(attribute, cluster, value) tables (the shared
-  // removal part prices once per point, insertion is O(|S|) lookups per
-  // candidate) and the K-Means term is bounded per candidate with the
-  // Elkan-style lb. Still avoids the O(k d) GEMV; this is what bites when
-  // clusters cannot balance every attribute at once and the per-cluster
-  // fairness minima are too pessimistic.
+  // Stage 2: per-candidate gate — the fairness change is priced from the
+  // maintained per-(attribute, cluster, value) tables (the shared removal
+  // part once per point, the insertion into every cluster in one batched
+  // pass of O(k |S|) lookups) and the K-Means term is bounded per candidate
+  // with the Elkan-style lb. Still avoids the O(k d) GEMV; this is what bites
+  // when clusters cannot balance every attribute at once and the
+  // per-cluster fairness minima are too pessimistic.
   const int from = state_->cluster_of(i);
   const double removal_ub = RemovalUpperBound(i, from);
   const double fair_removal = lambda_ * state_->FairRemovalDelta(i);
   const double norm = state_->point_norm(i);
+  state_->FairInsertionDeltaAllClusters(i, insertion_.data());
   const int k = state_->k();
   for (int c = 0; c < k; ++c) {
     if (c == from) continue;
@@ -131,7 +133,8 @@ bool SweepPruner::ShouldPrune(size_t i) const {
                  : static_cast<double>(cnt) / static_cast<double>(cnt + 1);
     const double lbc = CandidateLowerBound(i, c);
     const double addition_lb = addf * lbc * lbc;
-    const double fair_insertion = lambda_ * state_->FairInsertionDelta(i, c);
+    const double fair_insertion =
+        lambda_ * insertion_[static_cast<size_t>(c)];
     const double total =
         addition_lb - removal_ub + fair_removal + fair_insertion;
     const double margin = GateMargin(addition_lb, removal_ub,
@@ -168,11 +171,19 @@ void SweepPruner::SaveCheckpoint(Checkpoint* out) const {
   out->fresh = fresh_;
 }
 
-Status SweepPruner::RestoreCheckpoint(const Checkpoint& cp) {
-  if (cp.lb0.size() != lb0_.size() || cp.fresh.size() != fresh_.size()) {
+Status SweepPruner::ValidateCheckpoint(const Checkpoint& cp) const {
+  if (cp.lb0.size() != lb0_.size() || cp.drift_ref.size() != drift_ref_.size() ||
+      cp.lbmin0.size() != lbmin0_.size() ||
+      cp.max_drift_ref.size() != max_drift_ref_.size() ||
+      cp.fresh.size() != fresh_.size()) {
     return Status::InvalidArgument(
         "pruner checkpoint shape does not match this state's n/k");
   }
+  return Status::OK();
+}
+
+Status SweepPruner::RestoreCheckpoint(const Checkpoint& cp) {
+  FAIRKM_RETURN_NOT_OK(ValidateCheckpoint(cp));
   lb0_ = cp.lb0;
   drift_ref_ = cp.drift_ref;
   lbmin0_ = cp.lbmin0;

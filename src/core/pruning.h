@@ -30,17 +30,23 @@
 //     insertion bound across candidate targets, exact over the current group
 //     counts and recomputed only for clusters whose counts moved). Bites
 //     when clusters are fairness-balanced (any move un-balances them).
-//   * Stage 2, O(k |S|): per candidate — the fairness delta evaluated
-//     exactly via the O(1)-per-attribute closed form (the very values
-//     ApplyBestMove would use) plus the bounded K-Means term. Still avoids
+//   * Stage 2, O(k |S|): per candidate — the fairness delta priced as the
+//     point's removal delta plus its insertion delta into the candidate
+//     (the removal once per point, the insertions into all k clusters in
+//     one batched pass, FairInsertionDeltaAllClusters), plus the bounded
+//     K-Means term. Categorical attributes are read from FairKMState's
+//     weighted per-(attribute, cluster, value) CatDeltaBounds tables, so
+//     these are NOT the values ApplyBestMove uses: the tables weight each
+//     half before summing and round differently from the closed form of
+//     DeltaFairnessAllClusters — one reason GateMargin exists. Still avoids
 //     the O(k d) GEMV, which dominates at tf-idf-scale dimensionality.
 // If every candidate is bounded out (minus a defensive rounding margin), no
 // move can be accepted and the point is skipped. The bounds are
 // conservative by construction; the margin absorbs the floating-point
-// reassociation between the bound arithmetic and the exact kernels, and
-// tests/fairkm_pruning_test.cc asserts trajectory bit-identity plus
-// bound validity (tests/testlib/brute_force.h) across seeded worlds and
-// kernel backends.
+// reassociation between the bound arithmetic (tables included) and the
+// exact kernels, and tests/fairkm_pruning_test.cc asserts trajectory
+// bit-identity plus bound validity (tests/testlib/brute_force.h) across
+// seeded worlds and kernel backends.
 
 #ifndef FAIRKM_CORE_PRUNING_H_
 #define FAIRKM_CORE_PRUNING_H_
@@ -66,11 +72,13 @@ class SweepPruner {
  public:
   SweepPruner(const FairKMState* state, double lambda, double min_improvement);
 
-  /// \brief O(1) gate: true when no candidate move of point i can improve
-  /// the objective by more than min_improvement, proven from the current
-  /// bounds. False for points whose bounds are stale (never evaluated, or
-  /// moved since their last refresh).
-  bool ShouldPrune(size_t i) const;
+  /// \brief Gate: true when no candidate move of point i can improve the
+  /// objective by more than min_improvement, proven from the current bounds
+  /// (stage 1 in O(1), stage 2 in O(k |S|); see the header comment). False
+  /// for points whose bounds are stale (never evaluated, or moved since
+  /// their last refresh). Not const: stage 2 writes the pruner's k-entry
+  /// insertion row.
+  bool ShouldPrune(size_t i);
 
   /// \brief Installs fresh bounds for point i from an exact evaluation:
   /// `dists` is the k clamped squared centroid distances reported by
@@ -98,6 +106,10 @@ class SweepPruner {
     std::vector<uint8_t> fresh;
   };
   void SaveCheckpoint(Checkpoint* out) const;
+  /// \brief kInvalidArgument unless every table of `cp` has this pruner's
+  /// shape (n k entries for lb0/drift_ref, n for the rest).
+  Status ValidateCheckpoint(const Checkpoint& cp) const;
+  /// \brief Validates, then restores; nothing is overwritten on failure.
   Status RestoreCheckpoint(const Checkpoint& cp);
 
   // Introspection for the testlib invariant checks.
@@ -141,6 +153,8 @@ class SweepPruner {
   std::vector<double> lbmin0_;
   std::vector<double> max_drift_ref_;
   std::vector<uint8_t> fresh_;
+  // Stage 2's k-entry row of batched insertion deltas (scratch, not state).
+  std::vector<double> insertion_;
 };
 
 }  // namespace core

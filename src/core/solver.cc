@@ -95,6 +95,7 @@ Status FairKMSolver::Init(cluster::Assignment warm_start) {
     const size_t k = static_cast<size_t>(options_.k);
     km_deltas_.assign(k, 0.0);
     km_dists_.assign(pruning_ ? k : 0, 0.0);
+    fair_deltas_.assign(k, 0.0);
   } else {
     FAIRKM_RETURN_NOT_OK(state_->Reset(std::move(warm_start)));
     if (pruner_) {
@@ -119,15 +120,17 @@ double FairKMSolver::Objective() const {
 }
 
 // Picks the best move for point i given its precomputed per-cluster K-Means
-// deltas and the live O(1)-per-attribute fairness deltas, and applies it.
+// deltas and one batched pass of its live fairness deltas, and applies it.
 // Returns true when the point moved.
 bool FairKMSolver::ApplyBestMove(size_t i, const double* km_deltas) {
   const int from = state_->cluster_of(i);
+  state_->DeltaFairnessAllClusters(i, fair_deltas_.data());
   double best_delta = -options_.min_improvement;
   int best_cluster = from;
   for (int c = 0; c < options_.k; ++c) {
     if (c == from) continue;
-    const double delta = km_deltas[c] + lambda_ * state_->DeltaFairness(i, c);
+    const double delta =
+        km_deltas[c] + lambda_ * fair_deltas_[static_cast<size_t>(c)];
     if (delta < best_delta) {
       best_delta = delta;
       best_cluster = c;
@@ -423,6 +426,9 @@ Status FairKMSolver::Restore(const SolverCheckpoint& cp) {
     // assignment, then overwrite with the exact float state below.
     FAIRKM_RETURN_NOT_OK(Init(cp.state.assignment));
   }
+  // Both halves validate before either overwrites anything, so a rejected
+  // checkpoint leaves the session as it was.
+  if (pruner_) FAIRKM_RETURN_NOT_OK(pruner_->ValidateCheckpoint(cp.pruner));
   FAIRKM_RETURN_NOT_OK(state_->RestoreCheckpoint(cp.state));
   if (pruner_) {
     FAIRKM_RETURN_NOT_OK(pruner_->RestoreCheckpoint(cp.pruner));

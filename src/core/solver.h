@@ -339,9 +339,11 @@ class FairKMSolver {
   std::unique_ptr<FairKMState> state_;
   std::unique_ptr<SweepPruner> pruner_;
   // One point's k candidate K-Means deltas (and, when pruning, its k exact
-  // distances for the pruner): the batched kernel's output row.
+  // distances for the pruner): the batched kernel's output row. Its k
+  // fairness deltas: the batched fairness pass's output row.
   std::vector<double> km_deltas_;
   std::vector<double> km_dists_;
+  std::vector<double> fair_deltas_;
 
   // Run progress.
   int sweeps_completed_ = 0;

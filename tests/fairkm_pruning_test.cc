@@ -230,7 +230,7 @@ TEST_P(PruningInvariantTest, BoundsNeverViolatedUnderMoveSequences) {
         }
       }
       if (snapshot) state.RefreshPrototypes();
-      ASSERT_TRUE(PrunerBoundsHold(state, pruner, lambda, min_improvement));
+      ASSERT_TRUE(PrunerBoundsHold(state, &pruner, lambda, min_improvement));
       // Adversarial churn between passes: arbitrary moves the optimizer
       // would never make, exercising drift accumulation and bound aging.
       for (const MoveOp& op : RandomMoveSequence(n / 4, n, world.k, &rng)) {
@@ -239,7 +239,7 @@ TEST_P(PruningInvariantTest, BoundsNeverViolatedUnderMoveSequences) {
         pruner.Invalidate(op.point);
       }
       if (snapshot && rng.Bernoulli(0.5)) state.RefreshPrototypes();
-      ASSERT_TRUE(PrunerBoundsHold(state, pruner, lambda, min_improvement));
+      ASSERT_TRUE(PrunerBoundsHold(state, &pruner, lambda, min_improvement));
     }
   }
 }

@@ -568,6 +568,119 @@ TEST(FairKMSolverTest, LifecycleGuardsAndCheckpointValidation) {
   EXPECT_FALSE(FairKMSolver::Create(&world.points, &world.sensitive, bad).ok());
 }
 
+// A checkpoint restores only into a session it fits. Session A (one
+// attribute with 2 values) sweeps once and snapshots; a session over the
+// same points whose attribute has 5 values, or other codes, must reject it
+// — as must corrupted copies — with kInvalidArgument and its own state
+// untouched. The first case used to restore as OK and send the next sweep
+// past the end of the 2-value count table.
+TEST(FairKMSolverTest, RestoreRejectsACheckpointThatDoesNotFitTheSession) {
+  Rng rng(91);
+  data::Matrix points(200, 3);
+  for (size_t i = 0; i < points.rows(); ++i) {
+    for (size_t j = 0; j < points.cols(); ++j) points.At(i, j) = rng.Normal(0, 1);
+  }
+  const auto view_over = [&points](int cardinality, uint64_t seed) {
+    Rng draw(seed);
+    data::CategoricalSensitive attr;
+    attr.name = "group";
+    attr.cardinality = cardinality;
+    attr.dataset_fractions.assign(static_cast<size_t>(cardinality), 0.0);
+    for (size_t i = 0; i < points.rows(); ++i) {
+      const auto v = static_cast<int32_t>(
+          draw.UniformInt(static_cast<uint64_t>(cardinality)));
+      attr.codes.push_back(v);
+      attr.dataset_fractions[static_cast<size_t>(v)] += 1.0 / 200.0;
+    }
+    data::SensitiveView view;
+    view.categorical.push_back(std::move(attr));
+    return view;
+  };
+  const data::SensitiveView two = view_over(2, 1);
+  const data::SensitiveView five = view_over(5, 1);
+  const data::SensitiveView recoded = view_over(2, 2);
+  FairKMOptions options;
+  options.k = 4;
+  options.lambda = 50.0;
+
+  FairKMSolver a = FairKMSolver::Create(&points, &two, options).ValueOrDie();
+  ASSERT_TRUE(a.Init(uint64_t{3}).ok());
+  ASSERT_TRUE(a.Sweep().ok());
+  const SolverCheckpoint checkpoint = a.Snapshot().ValueOrDie();
+
+  const auto expect_rejected = [&](const data::SensitiveView& view,
+                                   const SolverCheckpoint& cp,
+                                   const char* what) {
+    FairKMSolver b = FairKMSolver::Create(&points, &view, options).ValueOrDie();
+    ASSERT_TRUE(b.Init(uint64_t{5}).ok());
+    const SolverCheckpoint before = b.Snapshot().ValueOrDie();
+    const Status st = b.Restore(cp);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what << ": " << st.ToString();
+    const SolverCheckpoint after = b.Snapshot().ValueOrDie();
+    EXPECT_EQ(after.state.assignment, before.state.assignment) << what;
+    EXPECT_EQ(after.state.counts, before.state.counts) << what;
+    EXPECT_EQ(after.state.cat_counts, before.state.cat_counts) << what;
+    EXPECT_EQ(after.state.cat_u2, before.state.cat_u2) << what;
+    EXPECT_EQ(after.pruner.fresh, before.pruner.fresh) << what;
+    EXPECT_EQ(after.sweeps_completed, before.sweeps_completed) << what;
+  };
+  expect_rejected(five, checkpoint, "attribute with 5 values");
+  expect_rejected(recoded, checkpoint, "same shape, other codes");
+
+  SolverCheckpoint cp = checkpoint;
+  cp.state.cat_u2[0].pop_back();
+  expect_rejected(two, cp, "short U2 row");
+  cp = checkpoint;
+  cp.state.num_sums.emplace_back(static_cast<size_t>(options.k), 0.0);
+  expect_rejected(two, cp, "extra numeric table");
+  cp = checkpoint;
+  ++cp.state.counts[0];
+  --cp.state.counts[1];
+  expect_rejected(two, cp, "counts off the assignment");
+  cp = checkpoint;
+  ++cp.state.cat_counts[0][0];
+  --cp.state.cat_counts[0][1];
+  expect_rejected(two, cp, "group counts off the assignment");
+  cp = checkpoint;
+  cp.state.ins_best_cluster = options.k;
+  expect_rejected(two, cp, "insertion best cluster out of range");
+  cp = checkpoint;
+  cp.state.addf_best_cluster = -2;
+  expect_rejected(two, cp, "addition-factor best cluster out of range");
+  if (checkpoint.state.track_bounds) {
+    cp = checkpoint;
+    cp.state.cat_ins_delta[0].pop_back();
+    expect_rejected(two, cp, "short insertion table");
+  }
+  if (checkpoint.has_pruner) {
+    cp = checkpoint;
+    cp.pruner.drift_ref.pop_back();
+    expect_rejected(two, cp, "short pruner drift_ref");
+    cp = checkpoint;
+    cp.pruner.lbmin0.push_back(0.0);
+    expect_rejected(two, cp, "long pruner lbmin0");
+    cp = checkpoint;
+    cp.pruner.max_drift_ref.pop_back();
+    expect_rejected(two, cp, "short pruner max_drift_ref");
+  }
+
+  // LoadCheckpoint (and so --resume) reaches the same check from disk.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "fairkm_solver_misfit_ckpt";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "a.fkmc").string();
+  ASSERT_TRUE(a.SaveCheckpoint(path).ok());
+  FairKMSolver from_disk =
+      FairKMSolver::Create(&points, &five, options).ValueOrDie();
+  EXPECT_EQ(from_disk.LoadCheckpoint(path).code(), StatusCode::kInvalidArgument);
+  fs::remove_all(dir);
+
+  // The untouched checkpoint still restores into a session it fits.
+  FairKMSolver fits = FairKMSolver::Create(&points, &two, options).ValueOrDie();
+  EXPECT_TRUE(fits.Restore(checkpoint).ok());
+}
+
 // A mini-batch larger than the dataset is one batch per sweep: the run must
 // be bit-identical to one whose batch is exactly n, and its reported terms
 // must match scratch evaluation of the final assignment.

@@ -207,7 +207,7 @@ double BruteForceDeltaFairness(const data::SensitiveView& sensitive,
 }
 
 ::testing::AssertionResult PrunerBoundsHold(const core::FairKMState& state,
-                                            const core::SweepPruner& pruner,
+                                            core::SweepPruner* pruner,
                                             double lambda,
                                             double min_improvement,
                                             double tolerance) {
@@ -218,42 +218,46 @@ double BruteForceDeltaFairness(const data::SensitiveView& sensitive,
   const int k = state.k();
   std::vector<double> km(static_cast<size_t>(k));
   std::vector<double> dists(static_cast<size_t>(k));
+  std::vector<double> insertion(static_cast<size_t>(k));
   for (size_t i = 0; i < n; ++i) {
-    // The fairness table split must reproduce the exact closed form for
-    // every point, fresh or not.
+    // The fairness table split (the removal lookup plus the gate's batched
+    // insertion pass) must reproduce the exact closed form for every point,
+    // fresh or not.
+    state.FairInsertionDeltaAllClusters(i, insertion.data());
     for (int c = 0; c < k; ++c) {
       if (c == state.cluster_of(i)) continue;
       const double exact = state.DeltaFairness(i, c);
-      const double split = state.FairRemovalDelta(i) + state.FairInsertionDelta(i, c);
+      const double split =
+          state.FairRemovalDelta(i) + insertion[static_cast<size_t>(c)];
       if (std::fabs(split - exact) > tolerance * std::max(1.0, std::fabs(exact))) {
         return ::testing::AssertionFailure()
                << "fairness table split " << split << " != DeltaFairness "
                << exact << " for point " << i << " -> " << c;
       }
     }
-    if (!pruner.IsFresh(i)) continue;
+    if (!pruner->IsFresh(i)) continue;
     const int from = state.cluster_of(i);
     // Exact (clamped, expanded-form) distances as the sweep computes them.
     state.DeltaKMeansAllClusters(i, km.data(), dists.data());
     const double self_dist = std::sqrt(dists[static_cast<size_t>(from)]);
-    if (self_dist > pruner.UpperBound(i) + tolerance) {
+    if (self_dist > pruner->UpperBound(i) + tolerance) {
       return ::testing::AssertionFailure()
              << "point " << i << ": own-centroid distance " << self_dist
-             << " exceeds upper bound " << pruner.UpperBound(i);
+             << " exceeds upper bound " << pruner->UpperBound(i);
     }
     for (int c = 0; c < k; ++c) {
       if (c == from || state.effective_count(c) == 0) continue;
       const double dist = std::sqrt(dists[static_cast<size_t>(c)]);
-      if (dist < pruner.CandidateLowerBound(i, c) - tolerance) {
+      if (dist < pruner->CandidateLowerBound(i, c) - tolerance) {
         return ::testing::AssertionFailure()
                << "point " << i << " cluster " << c << ": distance " << dist
                << " below candidate lower bound "
-               << pruner.CandidateLowerBound(i, c);
+               << pruner->CandidateLowerBound(i, c);
       }
-      if (dist < pruner.LowerBound(i) - tolerance) {
+      if (dist < pruner->LowerBound(i) - tolerance) {
         return ::testing::AssertionFailure()
                << "point " << i << " cluster " << c << ": distance " << dist
-               << " below global lower bound " << pruner.LowerBound(i);
+               << " below global lower bound " << pruner->LowerBound(i);
       }
     }
     // Per-cluster fairness bounds against this point's exact deltas.
@@ -265,17 +269,17 @@ double BruteForceDeltaFairness(const data::SensitiveView& sensitive,
     }
     for (int c = 0; c < k; ++c) {
       if (c == from) continue;
-      if (state.FairInsertionDelta(i, c) <
+      if (insertion[static_cast<size_t>(c)] <
           state.fair_insertion_bound(c) - tolerance) {
         return ::testing::AssertionFailure()
                << "point " << i << " cluster " << c << ": insertion delta "
-               << state.FairInsertionDelta(i, c) << " below cluster bound "
+               << insertion[static_cast<size_t>(c)] << " below cluster bound "
                << state.fair_insertion_bound(c);
       }
     }
     // End-to-end soundness: a pruned point must have no improving move under
     // the exact kernels.
-    if (pruner.ShouldPrune(i)) {
+    if (pruner->ShouldPrune(i)) {
       for (int c = 0; c < k; ++c) {
         if (c == from) continue;
         const double delta =

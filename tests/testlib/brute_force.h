@@ -82,16 +82,18 @@ cluster::Assignment BruteForceAssign(const data::Matrix& points,
 /// every point whose bounds are fresh:
 ///   * the distance upper/lower bounds bracket the exact (clamped,
 ///     expanded-form) centroid distances the sweep would compute,
-///   * FairRemovalDelta + FairInsertionDelta reproduces DeltaFairness,
+///   * FairRemovalDelta plus the batched FairInsertionDeltaAllClusters
+///     pass reproduces DeltaFairness,
 ///   * the per-cluster fairness bounds lower-bound every resident/candidate
 ///     point's exact delta, and
 ///   * — the end-to-end soundness claim — whenever ShouldPrune(i) holds, no
 ///     candidate move of i improves the objective by more than
 ///     min_improvement under the exact kernels.
 /// `state` must have bound tracking enabled and `pruner` must be built over
-/// it with the given lambda/min_improvement.
+/// it with the given lambda/min_improvement (the gate writes its scratch
+/// row, hence the pointer).
 ::testing::AssertionResult PrunerBoundsHold(const core::FairKMState& state,
-                                            const core::SweepPruner& pruner,
+                                            core::SweepPruner* pruner,
                                             double lambda,
                                             double min_improvement,
                                             double tolerance = 1e-7);
