@@ -1,12 +1,12 @@
 // Full-jitter exponential backoff — the one retry schedule of the library.
 //
-// serve::AssignWithRetry (shed requests) and core::SupervisedRunner
-// (rollback recoveries) both sleep through it, each with its own policy's
-// three durations. Before retry i (1-based) the caller sleeps a uniform draw
-// from [0, ceiling(i)] with ceiling(i) = min(initial * multiplier^(i-1),
-// max): "full jitter", which spreads synchronized retry storms best. The
-// draw comes from the caller's Rng, so retries stay deterministic under a
-// fixed seed and desynchronized across distinct seeds.
+// core::SupervisedRunner sleeps through it before each rollback recovery,
+// with its SupervisorPolicy's three durations. Before retry i (1-based) the
+// caller sleeps a uniform draw from [0, ceiling(i)] with ceiling(i) =
+// min(initial * multiplier^(i-1), max): "full jitter", which spreads
+// synchronized retry storms best. The draw comes from the caller's Rng, so
+// retries stay deterministic under a fixed seed and desynchronized across
+// distinct seeds.
 
 #ifndef FAIRKM_COMMON_BACKOFF_H_
 #define FAIRKM_COMMON_BACKOFF_H_

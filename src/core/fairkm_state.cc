@@ -169,11 +169,23 @@ Status FairKMState::AdmitAppended(int to) {
         "(store has " + std::to_string(store_->rows()) + ", state tracks " +
         std::to_string(n_) + ")");
   }
-  if (!sensitive_->empty() && sensitive_->num_rows() != n_ + 1) {
-    return Status::InvalidArgument(
-        "AdmitAppended expects the sensitive view to hold the appended row");
-  }
+  constexpr char kNoRow[] =
+      "AdmitAppended expects every sensitive attribute to hold the appended "
+      "row";
   const size_t i = n_;
+  for (const auto& attr : sensitive_->categorical) {
+    if (attr.codes.size() != n_ + 1) return Status::InvalidArgument(kNoRow);
+    const int32_t v = attr.codes[i];
+    if (v < 0 || v >= attr.cardinality) {
+      return Status::InvalidArgument("admitted row carries code " +
+                                     std::to_string(v) +
+                                     " outside attribute \"" + attr.name +
+                                     "\" cardinality");
+    }
+  }
+  for (const auto& attr : sensitive_->numeric) {
+    if (attr.values.size() != n_ + 1) return Status::InvalidArgument(kNoRow);
+  }
   const double* row = store_->Row(i);
   const double norm = kernels::Dot(row, row, stride_);
   point_norms_.push_back(norm);
@@ -186,14 +198,7 @@ Status FairKMState::AdmitAppended(int to) {
   sum_norms_[ti] = kernels::Dot(acc, acc, stride_);
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
-    const int32_t v = attr.codes[i];
-    if (v < 0 || v >= attr.cardinality) {
-      return Status::InvalidArgument("admitted row carries code " +
-                                     std::to_string(v) +
-                                     " outside attribute \"" + attr.name +
-                                     "\" cardinality");
-    }
-    ++cat_counts_[a][ti * attr.cardinality + v];
+    ++cat_counts_[a][ti * attr.cardinality + attr.codes[i]];
     RecomputeCatMoments(a, to);
   }
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {

@@ -176,7 +176,9 @@ class FairKMState {
   /// stay consistent with the counts within a batch. Only the view's
   /// fractions/means themselves (n-dependent) and the bound tables go
   /// stale — the caller MUST call RefreshDatasetStats() after its admit
-  /// batch.
+  /// batch. A bad target, a store or attribute without exactly the one
+  /// appended row, or a categorical code outside its attribute's range is
+  /// refused with kInvalidArgument before any aggregate changes.
   Status AdmitAppended(int to);
 
   /// \brief Removes row r's contributions and mirrors the swap-with-last

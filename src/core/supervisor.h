@@ -20,8 +20,7 @@
 //     quarantining corrupt frames on the way — falling back to the
 //     in-memory last-good snapshot, then to a fresh re-Init(seed). Each
 //     recovery consumes one unit of the `max_rollbacks` budget and sleeps a
-//     full-jitter backoff first (common/backoff.h, the schedule
-//     serve::AssignWithRetry uses too).
+//     full-jitter backoff first (common/backoff.h).
 //   * Graceful degradation — repeated I/O faults demote an mmap store to an
 //     in-memory copy of the rows (the one configuration that reads a file
 //     during the sweep). The demotion rebuilds the solver over the copy and

@@ -48,8 +48,8 @@ FairnessSummary EvaluateFairness(const data::SensitiveView& sensitive,
                                  const cluster::Assignment& assignment, int k);
 
 /// \brief Minimum per-cluster balance min(#x/#y, #y/#x) for a binary
-/// attribute (Chierichetti et al.'s fairness notion; used by the fairlet
-/// comparator). Returns 0 if any non-empty cluster is single-valued.
+/// attribute (Chierichetti et al.'s fairness notion). Returns 0 if any
+/// non-empty cluster is single-valued.
 double MinClusterBalance(const data::CategoricalSensitive& attr,
                          const cluster::Assignment& assignment, int k);
 

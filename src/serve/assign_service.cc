@@ -172,7 +172,7 @@ Result<cluster::Assignment> AssignService::Assign(
   if (model == nullptr) {
     // Not an argument error: nothing is wrong with the request, the service
     // just has no model yet. kUnavailable is the retryable signal a client
-    // backoff loop (RetryPolicy) understands.
+    // backoff loop understands.
     std::lock_guard<std::mutex> lock(mu_);
     ++requests_;
     ++errors_;

@@ -216,6 +216,45 @@ TEST(FairKMStateTest, GrowthHooksKeepCachedFairnessTermExact) {
   }
 }
 
+// A bad appended row is refused before any aggregate moves, so the refused
+// admit leaves the state as it was: a code outside its attribute's
+// cardinality, or an attribute that does not hold the row at all.
+TEST(FairKMStateTest, AdmitAppendedRejectsBadRowWithoutTouchingState) {
+  enum class Bad { kCode, kMissingCode, kMissingValue };
+  for (const Bad bad : {Bad::kCode, Bad::kMissingCode, Bad::kMissingValue}) {
+    SCOPED_TRACE(static_cast<int>(bad));
+    World w = MakeWorld(29, 3, 60, 3, true);
+    auto store = std::make_shared<data::PointStore>(w.points);
+    auto state =
+        FairKMState::Create(std::shared_ptr<const data::PointStore>(store),
+                            &w.sensitive, w.k, w.assignment, {})
+            .ValueOrDie();
+    const auto sizes = [&state] {
+      std::vector<size_t> out;
+      for (int c = 0; c < state.k(); ++c) out.push_back(state.cluster_size(c));
+      return out;
+    };
+    const std::vector<size_t> sizes_before = sizes();
+    const double kmeans_before = state.KMeansTermCached();
+    const double fairness_before = state.FairnessTermCached();
+
+    const std::vector<double> row(w.points.cols(), 1.0);
+    ASSERT_TRUE(store->AppendRow(row.data(), row.size()).ok());
+    w.sensitive.categorical[0].codes.push_back(0);
+    if (bad != Bad::kMissingCode) {
+      w.sensitive.categorical[1].codes.push_back(bad == Bad::kCode ? 99 : 0);
+    }
+    if (bad != Bad::kMissingValue) w.sensitive.numeric[0].values.push_back(10.0);
+
+    EXPECT_EQ(state.AdmitAppended(1).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(state.num_rows(), 60u);
+    EXPECT_EQ(state.assignment().size(), 60u);
+    EXPECT_EQ(sizes(), sizes_before);
+    EXPECT_EQ(state.KMeansTermCached(), kmeans_before);
+    EXPECT_EQ(state.FairnessTermCached(), fairness_before);
+  }
+}
+
 TEST(FairKMStateTest, EmptyAndSingletonClusterEdgeCases) {
   // 3 points, 3 clusters, all initially in cluster 0.
   data::Matrix pts(3, 1);

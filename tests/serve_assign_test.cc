@@ -205,8 +205,8 @@ TEST(ServeAssignTest, ValidationMirrorsScalarPath) {
 
 TEST(ServeAssignTest, AllClustersEmptyModelCannotServe) {
   // A session cannot train on zero rows, but a model whose clusters are all
-  // empty can still arrive from a snapshot file. Assigning a real point to
-  // it has no candidate cluster — an error, not a guess.
+  // empty can still be built by hand as a ModelExport. Assigning a real
+  // point to it has no candidate cluster — an error, not a guess.
   const SeededWorld world = MakeSeededWorld(95);
   const TrainedModel trained = Train(world, OptionsFor(kModes[0]), 7);
   core::ModelExport model = trained.solver.ExportModel().ValueOrDie();

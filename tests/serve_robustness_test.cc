@@ -1,13 +1,12 @@
 // Degradation-path tests for the serving tier: load shedding at the
-// admission gate, cooperative deadlines between scoring batches, shutdown /
-// drain semantics, and the shed-aware retry helper. Overload is created
-// deterministically by arming a delay fault on the "serve.batch" point
-// (max_concurrency = 1 + a sleeping in-flight request = a full service, no
-// real load needed), so the suite is timing-robust enough for the TSan job
-// (suite name matches the |Serve regex).
+// admission gate, cooperative deadlines between scoring batches, and
+// shutdown / drain semantics. Overload is created deterministically by
+// arming a delay fault on the "serve.batch" point (max_concurrency = 1 + a
+// sleeping in-flight request = a full service, no real load needed), so the
+// suite is timing-robust enough for the TSan job (suite name matches the
+// |Serve regex).
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -16,13 +15,11 @@
 
 #include <gtest/gtest.h>
 
-#include "common/backoff.h"
 #include "common/fault_injection.h"
 #include "common/timer.h"
 #include "core/solver.h"
 #include "serve/assign_service.h"
 #include "serve/model_snapshot.h"
-#include "serve/retry.h"
 #include "testlib/worlds.h"
 
 namespace fairkm {
@@ -276,106 +273,6 @@ TEST_F(ServeRobustnessTest, NonFiniteRequestCoordinatesAreInvalidArgument) {
   EXPECT_EQ(service_->Metrics().errors, 2u);
   // Clean requests still serve.
   EXPECT_TRUE(service_->Assign(world_->points, &world_->sensitive).ok());
-}
-
-TEST(RetryPolicyTest, OnlyUnavailableIsRetryable) {
-  EXPECT_TRUE(IsRetryable(Status::Unavailable("x")));
-  EXPECT_FALSE(IsRetryable(Status::OK()));
-  EXPECT_FALSE(IsRetryable(Status::DeadlineExceeded("x")));
-  EXPECT_FALSE(IsRetryable(Status::InvalidArgument("x")));
-  EXPECT_FALSE(IsRetryable(Status::DataLoss("x")));
-}
-
-TEST(RetryPolicyTest, BackoffCeilingGrowsAndClamps) {
-  RetryPolicy policy;
-  policy.initial_backoff_seconds = 0.001;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_seconds = 0.005;
-  const auto ceiling = [&](int retry) {
-    return BackoffCeilingSeconds(policy.initial_backoff_seconds,
-                                 policy.backoff_multiplier,
-                                 policy.max_backoff_seconds, retry);
-  };
-  EXPECT_DOUBLE_EQ(ceiling(1), 0.001);
-  EXPECT_DOUBLE_EQ(ceiling(2), 0.002);
-  EXPECT_DOUBLE_EQ(ceiling(3), 0.004);
-  EXPECT_DOUBLE_EQ(ceiling(4), 0.005);
-  EXPECT_DOUBLE_EQ(ceiling(10), 0.005);
-}
-
-TEST(RetryPolicyTest, RetriesNotReadyServiceUntilExhausted) {
-  fault::DisarmAll();
-  AssignService service;  // Never published: every attempt is kUnavailable.
-  const SeededWorld world = MakeSeededWorld(301);
-
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff_seconds = 0.0005;
-  policy.max_backoff_seconds = 0.002;
-  Rng rng(99);
-  const auto result =
-      AssignWithRetry(service, world.points, &world.sensitive, {}, policy, &rng);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  // All three attempts reached the service.
-  EXPECT_EQ(service.Metrics().not_ready, 3u);
-}
-
-TEST(RetryPolicyTest, RidesOutASlowFirstPublish) {
-  fault::DisarmAll();
-  const SeededWorld world = MakeSeededWorld(302);
-  FairKMOptions options = BaseOptions();
-  FairKMSolver solver =
-      FairKMSolver::Create(&world.points, &world.sensitive, options)
-          .ValueOrDie();
-  ASSERT_TRUE(solver.Init(uint64_t{11}).ok());
-  ASSERT_TRUE(solver.Run().ok());
-
-  AssignService service;
-  // Observe not-ready once before the publisher even starts; under machine
-  // load the retry loop's first attempt may otherwise land after Publish.
-  ASSERT_EQ(service.Assign(world.points, &world.sensitive).status().code(),
-            StatusCode::kUnavailable);
-  std::thread publisher([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    service.Publish(MakeModelSnapshot(solver).ValueOrDie());
-  });
-
-  RetryPolicy policy;
-  policy.max_attempts = 50;
-  policy.initial_backoff_seconds = 0.005;
-  policy.backoff_multiplier = 1.0;  // Flat 0..5ms jitter per retry.
-  policy.max_backoff_seconds = 0.005;
-  Rng rng(7);
-  const auto result =
-      AssignWithRetry(service, world.points, &world.sensitive, {}, policy, &rng);
-  publisher.join();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.ValueOrDie(),
-            solver.Assign(world.points, world.sensitive).ValueOrDie());
-  EXPECT_GT(service.Metrics().not_ready, 0u);
-}
-
-TEST(RetryPolicyTest, DoesNotRetryNonRetryableFailures) {
-  fault::DisarmAll();
-  const SeededWorld world = MakeSeededWorld(303);
-  FairKMSolver solver =
-      FairKMSolver::Create(&world.points, &world.sensitive, BaseOptions())
-          .ValueOrDie();
-  ASSERT_TRUE(solver.Init(uint64_t{13}).ok());
-  ASSERT_TRUE(solver.Run().ok());
-  AssignService service;
-  service.Publish(MakeModelSnapshot(solver).ValueOrDie());
-
-  // Wrong width -> kInvalidArgument: exactly one attempt, no backoff loop.
-  const data::Matrix bad(4, world.points.cols() + 1);
-  RetryPolicy policy;
-  policy.max_attempts = 10;
-  Rng rng(3);
-  const auto result = AssignWithRetry(service, bad, nullptr, {}, policy, &rng);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.Metrics().requests, 1u);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ tools/check_install.sh "$BUILD_DIR" "$BUILD_DIR/install_check"
 # silently drop these suites from CI.
 echo "== fault injection: durability + degraded-serve suites =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjection|Crc32|BinaryIo|IoTest|CheckpointIo|SnapshotIo|ServeRobustness|RetryPolicy|cli_smoke|Supervisor|crash_recovery|OnlineDrift|OnlineRecovery'
+  -R 'FaultInjection|Crc32|BinaryIo|IoTest|CheckpointIo|ServeRobustness|Backoff|cli_smoke|Supervisor|crash_recovery|OnlineDrift|OnlineRecovery'
 
 # Supervisor self-healing gate: an env-armed divergence fault (one forced
 # non-finite objective) against the CLI's --supervise path must cost exactly
@@ -114,6 +114,6 @@ cmake -B "$TSAN_BUILD_DIR" -S . \
   -DFAIRKM_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|StressScaling.Optimizer|Pruning|FairKMSolver|Serve|RetryPolicy|Online|Silhouette'
+  -R 'ThreadPool|StressScaling.Optimizer|Pruning|FairKMSolver|Serve|Online|Silhouette'
 
 echo "== all checks passed =="
