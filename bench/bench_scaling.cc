@@ -16,8 +16,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -32,8 +34,10 @@
 #include "core/kernels/kernels.h"
 #include "core/solver.h"
 #include "data/adult_generator.h"
+#include "data/dataset.h"
 #include "data/point_store.h"
 #include "data/preprocess.h"
+#include "data/sensitive.h"
 #include "metrics/quality.h"
 #include "online/online_fairkm.h"
 #include "testlib/scalar_assign.h"
@@ -704,16 +708,19 @@ void BM_FairKM_OutOfCore_Mmap(benchmark::State& state) {
 }
 BENCHMARK(BM_FairKM_OutOfCore_Mmap)->Unit(benchmark::kMillisecond);
 
-// Online engine pair (src/online/): _Admit measures the steady-state cost of
-// the live Eq. 1 insertion path — per admitted point the engine scores all k
-// clusters (distance + fairness insertion delta), appends to the growable
-// store, adopts the row into the state, and re-derives the n-dependent
-// dataset distribution. Each round's ids are retired outside the timed
-// region so the engine holds a steady row count and iterations stay
-// comparable. tools/bench_json.sh gates on the points_per_sec counter
-// (MIN_ADMIT_POINTS_PER_SEC). _DriftResweep measures the full bounded
-// drift-response cycle the supervisor triggers on a regression: canonical
-// Flush rebuild + one budgeted Algorithm-1 sweep + snapshot republish.
+// Online engine benches (src/online/): _Admit measures the steady-state cost
+// of the live Eq. 1 insertion path — per admitted point the engine scores
+// all k clusters (distance + fairness insertion delta), appends to the
+// growable store and adopts the row into the state; per batch it re-derives
+// the n-dependent dataset distribution from its kept value counts and
+// resizes the pruner, both without a pass over the live rows. Each round's
+// ids are retired outside the timed region so the engine holds a steady row
+// count and iterations stay comparable. tools/bench_json.sh gates on the
+// points_per_sec counter (MIN_ADMIT_POINTS_PER_SEC). _DriftResweep measures
+// the full bounded drift-response cycle the supervisor triggers on a
+// regression: canonical Flush rebuild + one budgeted Algorithm-1 sweep +
+// snapshot republish. _Step (below) times a whole write at three window
+// sizes.
 constexpr size_t kOnlineN = 4096;
 constexpr size_t kOnlineD = 64;
 constexpr size_t kOnlineBatch = 64;
@@ -821,6 +828,97 @@ void BM_Online_DriftResweep(benchmark::State& state) {
       static_cast<double>(engine.Stats().resweeps);
 }
 BENCHMARK(BM_Online_DriftResweep)->Unit(benchmark::kMillisecond);
+
+// BM_Online_Step/<rows>: the write of the e2e online-window workload at a
+// window of <rows> live rows — Adult-like rows, the paper's 5 categorical
+// sensitive attributes, k = 8, mini-batch 1024, re-sweeps off. One
+// iteration admits 64 rows and retires the 64 oldest, so the window keeps
+// its size. A write costs O(batch (d + sum m)) + O(k sum m) plus an n-byte
+// stale mark of the pruner, so its time must not grow with the window:
+// tools/bench_json.sh gate 10 bounds the step(80000)/step(20000) ratio
+// (MAX_ONLINE_STEP_GROWTH).
+constexpr size_t kStepBatch = 64;
+constexpr size_t kStepPoolBatches = 64;  // Admitted batches cycle through.
+
+struct OnlineStepWorld {
+  std::unique_ptr<online::OnlineFairKM> engine;
+  std::vector<data::Matrix> batches;
+  std::vector<data::SensitiveView> batch_views;
+  std::deque<uint64_t> live;  // Live ids, oldest first.
+  size_t next_batch = 0;
+};
+
+OnlineStepWorld& OnlineStepSetup(size_t window) {
+  static std::map<size_t, std::unique_ptr<OnlineStepWorld>> cache;
+  auto& slot = cache[window];
+  if (slot) return *slot;
+  slot = std::make_unique<OnlineStepWorld>();
+  const size_t pool_rows = kStepBatch * kStepPoolBatches;
+  data::AdultOptions gen;
+  gen.seed = 0x57E9;
+  gen.num_rows = window + pool_rows;
+  gen.target_positive = gen.num_rows / 4;
+  const data::Dataset all = data::GenerateAdult(gen).ValueOrDie();
+  std::vector<size_t> head(window), tail(pool_rows);
+  std::iota(head.begin(), head.end(), size_t{0});
+  std::iota(tail.begin(), tail.end(), window);
+  const data::Dataset initial = all.SelectRows(head);
+  const data::Dataset pool = all.SelectRows(tail);
+  const auto& names = data::AdultSensitiveNames();
+  const data::SensitiveView view =
+      data::MakeSensitiveView(initial, names).ValueOrDie();
+  const data::SensitiveView pool_view =
+      data::MakeSensitiveView(pool, names).ValueOrDie();
+  data::Matrix points = initial.ToMatrix(data::AdultTaskNames()).ValueOrDie();
+  data::Matrix pool_points = pool.ToMatrix(data::AdultTaskNames()).ValueOrDie();
+  data::ApplyMinMax(data::MinMaxNormalize(&points), &pool_points).Abort();
+  for (size_t b = 0; b < kStepPoolBatches; ++b) {
+    std::vector<size_t> rows(kStepBatch);
+    std::iota(rows.begin(), rows.end(), b * kStepBatch);
+    slot->batches.push_back(pool_points.SelectRows(rows));
+    data::SensitiveView batch_view = pool_view;
+    for (auto& attr : batch_view.categorical) {
+      attr.codes.assign(attr.codes.begin() + static_cast<ptrdiff_t>(rows[0]),
+                        attr.codes.begin() +
+                            static_cast<ptrdiff_t>(rows[0] + kStepBatch));
+    }
+    slot->batch_views.push_back(std::move(batch_view));
+  }
+  online::OnlineOptions options;
+  options.solver.k = 8;
+  options.solver.minibatch_size = 1024;
+  options.solver.max_iterations = 3;  // Set-up only needs a trained model.
+  options.drift.regression_tolerance = 1e12;  // Re-sweeps off.
+  slot->engine =
+      online::OnlineFairKM::Create(points, view, options, /*seed=*/1)
+          .ValueOrDie();
+  const std::vector<uint64_t> ids = slot->engine->LiveIds();
+  slot->live.assign(ids.begin(), ids.end());
+  return *slot;
+}
+
+void BM_Online_Step(benchmark::State& state) {
+  OnlineStepWorld& world = OnlineStepSetup(static_cast<size_t>(state.range(0)));
+  std::vector<uint64_t> oldest(kStepBatch);
+  for (auto _ : state) {
+    const size_t b = world.next_batch;
+    world.next_batch = (b + 1) % kStepPoolBatches;
+    const std::vector<uint64_t> ids =
+        world.engine->Admit(world.batches[b], &world.batch_views[b])
+            .ValueOrDie();
+    world.live.insert(world.live.end(), ids.begin(), ids.end());
+    for (uint64_t& id : oldest) {
+      id = world.live.front();
+      world.live.pop_front();
+    }
+    world.engine->Retire(oldest).Abort();
+  }
+}
+BENCHMARK(BM_Online_Step)
+    ->Arg(5000)
+    ->Arg(20000)
+    ->Arg(80000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MoveDeltaEvaluation(benchmark::State& state) {
   const auto& data = AdultSlice(2000);

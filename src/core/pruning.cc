@@ -1,6 +1,5 @@
 #include "core/pruning.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -51,12 +50,7 @@ SweepPruner::SweepPruner(const FairKMState* state, double lambda,
       min_improvement_(min_improvement),
       k_(static_cast<size_t>(state->k())) {
   FAIRKM_DCHECK(state != nullptr && state->bound_tracking());
-  const size_t n = state->num_rows();
-  lb0_.assign(n * k_, 0.0);
-  drift_ref_.assign(n * k_, 0.0);
-  lbmin0_.assign(n, 0.0);
-  max_drift_ref_.assign(n, 0.0);
-  fresh_.assign(n, 0);
+  Reset();
   insertion_.assign(k_, 0.0);
 }
 
@@ -161,7 +155,14 @@ void SweepPruner::Refresh(size_t i, const double* dists) {
 
 void SweepPruner::Invalidate(size_t i) { fresh_[i] = 0; }
 
-void SweepPruner::Reset() { std::fill(fresh_.begin(), fresh_.end(), 0); }
+void SweepPruner::Reset() {
+  const size_t n = state_->num_rows();
+  lb0_.resize(n * k_);
+  drift_ref_.resize(n * k_);
+  lbmin0_.resize(n);
+  max_drift_ref_.resize(n);
+  fresh_.assign(n, 0);
+}
 
 void SweepPruner::SaveCheckpoint(Checkpoint* out) const {
   out->lb0 = lb0_;

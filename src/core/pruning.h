@@ -88,9 +88,10 @@ class SweepPruner {
   /// \brief Marks point i's bounds stale (call after the point moved).
   void Invalidate(size_t i);
 
-  /// \brief Marks every point stale, reusing the allocations — the per-Init
-  /// reuse path of core::FairKMSolver (stale entries are never read, so no
-  /// other slot needs clearing).
+  /// \brief Sizes the per-point tables to the state's current row count and
+  /// marks every point stale, reusing the allocations — the per-Init path of
+  /// core::FairKMSolver and its resize after an online membership change
+  /// (stale entries are never read, so no other slot needs clearing).
   void Reset();
 
   /// \brief Updates the gate's lambda (e.g. a lambda sweep reusing one

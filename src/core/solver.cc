@@ -503,12 +503,9 @@ Status FairKMSolver::SyncStoreGrowth() {
   }
   n_ = store_->rows();
   if (!minibatch_) batch_size_ = n_;
-  // The pruner's per-point bound tables are sized to n; rebuild it so every
-  // bound restarts stale (never read until refreshed by an exact pass).
-  if (pruning_) {
-    pruner_ = std::make_unique<SweepPruner>(state_.get(), lambda_,
-                                            options_.min_improvement);
-  }
+  // The pruner's per-point bound tables are sized to n; resize them in place
+  // with every bound stale (never read until refreshed by an exact pass).
+  if (pruner_) pruner_->Reset();
   converged_ = false;
   return Status::OK();
 }

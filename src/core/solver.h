@@ -286,8 +286,9 @@ class FairKMSolver {
   /// \brief Re-synchronizes the session after the bound store's
   /// row count changed underneath it (online admit/retire): adopts the new
   /// n, re-hoists the full-sweep batch size (mini-batch sizes are kept),
-  /// rebuilds the pruner over the resized state (all per-point bounds
-  /// restart stale — sound, just unpruned until refreshed), and clears
+  /// resizes the pruner's per-point tables in place (SweepPruner::Reset:
+  /// an amortized O(batch) resize plus an n-byte stale mark — every bound
+  /// restarts stale, sound, just unpruned until refreshed), and clears
   /// `converged` so the next Sweep/Run re-certifies the objective over the
   /// new membership. The caller must already have
   /// brought the FairKMState to the new row count (the online engine's

@@ -56,6 +56,7 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Create(
   // Train on the distribution of the rows themselves, derived exactly as
   // Admit/Retire re-derive it — never on the caller's fractions/means.
   engine->view_ = initial_sensitive;
+  engine->CountValuesLocked();
   engine->RefreshViewLocked();
   FAIRKM_RETURN_NOT_OK(engine->view_.Validate(initial_points.rows()));
   FAIRKM_ASSIGN_OR_RETURN(
@@ -117,7 +118,9 @@ Result<std::vector<uint64_t>> OnlineFairKM::Admit(
     core::ScoreRows(model, points, i, i + 1, sensitive, &scratch, &placed);
     FAIRKM_RETURN_NOT_OK(store_->AppendRow(points.Row(i), d));
     for (size_t a = 0; a < view_.categorical.size(); ++a) {
-      view_.categorical[a].codes.push_back(sensitive->categorical[a].codes[i]);
+      const int32_t code = sensitive->categorical[a].codes[i];
+      view_.categorical[a].codes.push_back(code);
+      ++value_counts_[a][static_cast<size_t>(code)];
     }
     for (size_t a = 0; a < view_.numeric.size(); ++a) {
       view_.numeric[a].values.push_back(sensitive->numeric[a].values[i]);
@@ -131,7 +134,9 @@ Result<std::vector<uint64_t>> OnlineFairKM::Admit(
     ++admitted_;
   }
   FAIRKM_RETURN_NOT_OK(SyncAfterMembershipChangeLocked());
-  FAIRKM_RETURN_NOT_OK(MaybeResweepLocked());
+  // The rows are in: failing the call now would lose their ids, and a retry
+  // would admit them twice.
+  if (!MaybeResweepLocked().ok()) ++resweep_failures_;
   return ids;
 }
 
@@ -162,7 +167,9 @@ Status OnlineFairKM::Retire(const std::vector<uint64_t>& ids) {
     FAIRKM_RETURN_NOT_OK(solver_->mutable_state()->RetireSwapped(r));
     FAIRKM_RETURN_NOT_OK(store_->SwapRemoveRow(r));
     const size_t last = row_ids_.size() - 1;
-    for (auto& attr : view_.categorical) {
+    for (size_t a = 0; a < view_.categorical.size(); ++a) {
+      auto& attr = view_.categorical[a];
+      --value_counts_[a][static_cast<size_t>(attr.codes[r])];
       attr.codes[r] = attr.codes[last];
       attr.codes.pop_back();
     }
@@ -178,28 +185,41 @@ Status OnlineFairKM::Retire(const std::vector<uint64_t>& ids) {
     ++retired_;
   }
   FAIRKM_RETURN_NOT_OK(SyncAfterMembershipChangeLocked());
-  return MaybeResweepLocked();
+  // Same rule as Admit: the retire has committed.
+  if (!MaybeResweepLocked().ok()) ++resweep_failures_;
+  return Status::OK();
+}
+
+void OnlineFairKM::CountValuesLocked() {
+  // Codes outside the cardinality are skipped here; Create's Validate
+  // rejects them right after (Admit never stores one, and Recover rejects a
+  // checkpoint that carries one).
+  value_counts_.assign(view_.categorical.size(), {});
+  for (size_t a = 0; a < view_.categorical.size(); ++a) {
+    const auto& attr = view_.categorical[a];
+    std::vector<size_t>& counts = value_counts_[a];
+    counts.assign(static_cast<size_t>(std::max(attr.cardinality, 0)), 0);
+    for (const int32_t code : attr.codes) {
+      if (code >= 0 && static_cast<size_t>(code) < counts.size()) {
+        ++counts[static_cast<size_t>(code)];
+      }
+    }
+  }
 }
 
 void OnlineFairKM::RefreshViewLocked() {
   // Re-derive the dataset-level distribution exactly the way a from-scratch
   // load over the live rows would: integer counts divided by n, and numeric
   // sums accumulated in row order 0..n-1 — the oracle's fresh view must be
-  // able to reproduce these doubles bit-for-bit. Codes outside the
-  // cardinality are skipped here; Create's Validate rejects them right after
-  // (Admit never stores one).
+  // able to reproduce these doubles bit-for-bit. The counts are kept across
+  // admits and retires, so only the numeric re-sum reads every row.
   const double n = static_cast<double>(store_->rows());
-  for (auto& attr : view_.categorical) {
-    const size_t card = static_cast<size_t>(std::max(attr.cardinality, 0));
-    std::vector<size_t> counts(card, 0);
-    for (const int32_t code : attr.codes) {
-      if (code >= 0 && static_cast<size_t>(code) < card) {
-        ++counts[static_cast<size_t>(code)];
-      }
-    }
-    attr.dataset_fractions.resize(card);
-    for (size_t s = 0; s < card; ++s) {
-      attr.dataset_fractions[s] = static_cast<double>(counts[s]) / n;
+  for (size_t a = 0; a < view_.categorical.size(); ++a) {
+    const std::vector<size_t>& counts = value_counts_[a];
+    std::vector<double>& fractions = view_.categorical[a].dataset_fractions;
+    fractions.resize(counts.size());
+    for (size_t s = 0; s < counts.size(); ++s) {
+      fractions[s] = static_cast<double>(counts[s]) / n;
     }
   }
   for (auto& attr : view_.numeric) {
@@ -225,9 +245,9 @@ Status OnlineFairKM::FlushLocked() {
   FAIRKM_RETURN_NOT_OK(
       solver_->mutable_state()->RebuildFromStore(std::move(assignment)));
   // The canonical rebuild reset every drift accumulator, so the pruner's
-  // stale per-point bounds would age against the wrong reference; rebuilding
-  // it through the growth sync restarts them all stale (sound, just
-  // unpruned until the next exact evaluation).
+  // per-point bounds would age against the wrong reference; the growth sync
+  // marks them all stale (sound, just unpruned until the next exact
+  // evaluation).
   FAIRKM_RETURN_NOT_OK(solver_->SyncStoreGrowth());
   ++flushes_;
   return Status::OK();
@@ -509,6 +529,7 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Recover(
   }
 
   std::lock_guard<std::mutex> lock(engine->mu_);
+  engine->CountValuesLocked();
   engine->row_ids_ = std::move(row_ids);
   engine->id_to_row_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -536,6 +557,7 @@ OnlineStats OnlineFairKM::Stats() const {
   s.admitted = admitted_;
   s.retired = retired_;
   s.resweeps = resweeps_;
+  s.resweep_failures = resweep_failures_;
   s.flushes = flushes_;
   s.generation = generation_;
   s.live_rows = row_ids_.size();

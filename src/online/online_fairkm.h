@@ -22,9 +22,11 @@
 //     never rebuilds state — aggregates are decremented (RetireSwapped) and
 //     the last row slides into the hole.
 //   * After every admit/retire batch the engine re-derives the dataset-level
-//     fairness distribution (fractions/means are n-dependent), refreshes the
-//     moment tables and pruner bounds, and re-synchronizes the solver's
-//     sweep machinery with the new row count (SyncStoreGrowth).
+//     fairness distribution (fractions/means are n-dependent) from integer
+//     per-value counts it keeps across admits and retires (one O(n) re-sum
+//     per numeric attribute), refreshes the moment tables in O(k Σm), and
+//     resizes the solver's pruner to the new row count (SyncStoreGrowth).
+//     A write thus costs O(batch (d + Σm)) + O(k Σm), not a pass over n.
 //   * Drift monitor: the maintained per-point objective is compared against
 //     the baseline recorded at the last (re-)train. A regression past
 //     DriftPolicy::regression_tolerance — or a non-finite reading, injected
@@ -104,6 +106,9 @@ struct OnlineStats {
   uint64_t admitted = 0;       ///< Points admitted over the engine lifetime.
   uint64_t retired = 0;        ///< Points retired over the engine lifetime.
   uint64_t resweeps = 0;       ///< Drift-triggered (or forced) re-sweeps.
+  /// Drift responses that failed after their Admit/Retire had committed
+  /// (the write still succeeds; counted since this engine object was made).
+  uint64_t resweep_failures = 0;
   uint64_t flushes = 0;        ///< Canonical rebuilds (Flush + re-sweep prep).
   uint64_t generation = 0;     ///< Latest published snapshot generation.
   size_t live_rows = 0;        ///< Surviving points right now.
@@ -145,7 +150,10 @@ class OnlineFairKM {
   /// every admitted row (core::ValidateAssignRequest, the same contract as
   /// FairKMSolver::Assign); with an attribute-free view it may be null.
   /// Returns the stable ids, in row order. The whole batch is validated
-  /// before the first row is admitted.
+  /// before the first row is admitted. Once the rows are in, a drift
+  /// response that fails (e.g. its checkpoint write) does not fail the
+  /// call: the ids are returned and the failure is counted in
+  /// OnlineStats::resweep_failures, so a retry never admits twice.
   Result<std::vector<uint64_t>> Admit(
       const data::Matrix& points,
       const data::SensitiveView* sensitive = nullptr);
@@ -153,6 +161,7 @@ class OnlineFairKM {
   /// \brief Retires previously admitted points by id. The batch is
   /// validated up front (unknown or duplicate ids, or retiring every live
   /// point, reject the whole call with no state change). O(d + |S|) per id.
+  /// A failing drift response after the retire is counted, as for Admit.
   Status Retire(const std::vector<uint64_t>& ids);
 
   /// \brief Canonical rebuild: every aggregate, moment table and bound is
@@ -198,6 +207,7 @@ class OnlineFairKM {
 
   // All Locked helpers require mu_ held.
   void AssignInitialIdsLocked();
+  void CountValuesLocked();
   void RefreshViewLocked();
   Status SyncAfterMembershipChangeLocked();
   Status FlushLocked();
@@ -212,6 +222,9 @@ class OnlineFairKM {
   mutable std::mutex mu_;
   std::shared_ptr<data::PointStore> store_;  // Growable mem store (owned).
   data::SensitiveView view_;                 // Owned; solver points at it.
+  // value_counts_[a][s]: live rows whose categorical attribute a holds
+  // value s — the numerators of view_'s dataset fractions.
+  std::vector<std::vector<size_t>> value_counts_;
   std::unique_ptr<core::FairKMSolver> solver_;
 
   // Stable-id row map: row_ids_[row] is the id living at that store row;
@@ -225,6 +238,7 @@ class OnlineFairKM {
   uint64_t admitted_ = 0;
   uint64_t retired_ = 0;
   uint64_t resweeps_ = 0;
+  uint64_t resweep_failures_ = 0;
   uint64_t flushes_ = 0;
 };
 

@@ -21,6 +21,7 @@
 #include "core/fairkm.h"
 #include "core/objective.h"
 #include "data/point_store.h"
+#include "test_util.h"
 #include "testlib/brute_force.h"
 #include "testlib/worlds.h"
 
@@ -831,6 +832,128 @@ TEST(FairKMSolverTest, CurrentResultMatchesFinalizeResultOnEveryStore) {
     expect_finalize_equal(solver);
   }
   std::filesystem::remove_all(dir);
+}
+
+// The online engine's membership hooks (FairKMState::AdmitAppended /
+// RetireSwapped, then SyncStoreGrowth) change n under a live session. The
+// pruner's tables must follow n with every bound stale, a Snapshot of the
+// resized session must restore, and the pruned run that follows must walk
+// the unpruned trajectory bit for bit.
+TEST(FairKMSolverTest, SyncStoreGrowthResizesThePrunerInPlace) {
+  const SeededWorld world = MakeSeededWorld(88);
+  const size_t d = world.points.cols();
+  // A live session over its own growable store and view; the solver points
+  // at `view`, so a session never moves.
+  struct Session {
+    std::shared_ptr<data::PointStore> store;
+    data::SensitiveView view;
+    std::unique_ptr<FairKMSolver> solver;
+  };
+  const auto open = [&](const FairKMOptions& options) {
+    auto s = std::make_unique<Session>();
+    s->store = std::make_shared<data::PointStore>(world.points);
+    s->view = world.sensitive;
+    s->solver = std::make_unique<FairKMSolver>(
+        FairKMSolver::Create(std::shared_ptr<const data::PointStore>(s->store),
+                             &s->view, options)
+            .ValueOrDie());
+    return s;
+  };
+  // Admits 5 shifted copies of early rows and retires 3 rows, then
+  // re-derives the view's fractions/means and syncs, as the online engine
+  // does.
+  const auto churn = [&](Session* s) {
+    FairKMState* state = s->solver->mutable_state();
+    for (size_t t = 0; t < 5; ++t) {
+      std::vector<double> row(world.points.Row(t), world.points.Row(t) + d);
+      for (double& x : row) x += 0.25;
+      ASSERT_TRUE(s->store->AppendRow(row.data(), d).ok());
+      for (size_t a = 0; a < s->view.categorical.size(); ++a) {
+        s->view.categorical[a].codes.push_back(
+            world.sensitive.categorical[a].codes[t]);
+      }
+      for (size_t a = 0; a < s->view.numeric.size(); ++a) {
+        s->view.numeric[a].values.push_back(
+            world.sensitive.numeric[a].values[t]);
+      }
+      ASSERT_TRUE(state->AdmitAppended(static_cast<int>(t) % world.k).ok());
+    }
+    for (const size_t r : {size_t{0}, size_t{7}, size_t{20}}) {
+      ASSERT_TRUE(state->RetireSwapped(r).ok());
+      ASSERT_TRUE(s->store->SwapRemoveRow(r).ok());
+      for (auto& attr : s->view.categorical) {
+        attr.codes[r] = attr.codes.back();
+        attr.codes.pop_back();
+      }
+      for (auto& attr : s->view.numeric) {
+        attr.values[r] = attr.values.back();
+        attr.values.pop_back();
+      }
+    }
+    for (auto& attr : s->view.categorical) {
+      attr.dataset_fractions =
+          testutil::MakeCategorical(attr.codes, attr.cardinality)
+              .dataset_fractions;
+    }
+    for (auto& attr : s->view.numeric) {
+      attr.dataset_mean = testutil::MakeNumeric(attr.values).dataset_mean;
+    }
+    state->RefreshDatasetStats();
+    ASSERT_TRUE(s->solver->SyncStoreGrowth().ok());
+  };
+
+  const size_t n = world.points.rows() + 5 - 3;
+  const size_t k = static_cast<size_t>(world.k);
+  for (size_t m = 0; m < 4; m += 2) {
+    SCOPED_TRACE(kModes[m].name);
+    const FairKMOptions options = OptionsFor(kModes[m]);
+    std::unique_ptr<Session> pruned = open(options);
+    std::unique_ptr<Session> exact = open(OptionsFor(kModes[m + 1]));
+    for (Session* s : {pruned.get(), exact.get()}) {
+      ASSERT_TRUE(s->solver->Init(uint64_t{21}).ok());
+      RunBudget two;
+      two.max_sweeps = 2;
+      ASSERT_TRUE(s->solver->Run(two).ok());
+      ASSERT_NO_FATAL_FAILURE(churn(s));
+      ASSERT_EQ(s->solver->num_rows(), n);
+    }
+
+    const SolverCheckpoint cp = pruned->solver->Snapshot().ValueOrDie();
+    if (cp.has_pruner) {
+      EXPECT_EQ(cp.pruner.lb0.size(), n * k);
+      EXPECT_EQ(cp.pruner.drift_ref.size(), n * k);
+      EXPECT_EQ(cp.pruner.lbmin0.size(), n);
+      EXPECT_EQ(cp.pruner.max_drift_ref.size(), n);
+      EXPECT_EQ(cp.pruner.fresh, std::vector<uint8_t>(n, 0));
+    }
+    // The snapshot restores into the resized session itself and into a
+    // fresh session over the same rows (whose pruner Init sized to n).
+    ASSERT_TRUE(pruned->solver->Restore(cp).ok());
+    FairKMSolver twin =
+        FairKMSolver::Create(
+            std::shared_ptr<const data::PointStore>(pruned->store),
+            &pruned->view, options)
+            .ValueOrDie();
+    ASSERT_TRUE(twin.Restore(cp).ok());
+
+    ASSERT_TRUE(pruned->solver->Run().ok());
+    ASSERT_TRUE(exact->solver->Run().ok());
+    ASSERT_TRUE(twin.Run().ok());
+    const FairKMResult got = pruned->solver->CurrentResult().ValueOrDie();
+    const FairKMResult want = exact->solver->CurrentResult().ValueOrDie();
+    EXPECT_EQ(got.assignment, want.assignment);
+    EXPECT_EQ(got.objective_history, want.objective_history);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.converged, want.converged);
+    // The twin's norm cache is rebuilt canonically at Init, so its cached
+    // objective may differ in the last bits; its moves and gate decisions
+    // read per-point norms only and must match exactly.
+    const FairKMResult restored = twin.CurrentResult().ValueOrDie();
+    EXPECT_EQ(restored.assignment, got.assignment);
+    EXPECT_EQ(restored.iterations, got.iterations);
+    EXPECT_EQ(restored.total_candidates, got.total_candidates);
+    EXPECT_EQ(restored.pruned_candidates, got.pruned_candidates);
+  }
 }
 
 }  // namespace

@@ -101,20 +101,12 @@ data::SensitiveView MakeAdmitView(const data::SensitiveView& training,
   return view;
 }
 
-// The oracle: Flush(), then rebuild a FRESH FairKMState over copies of the
-// surviving rows / raw sensitive codes / current assignment — exactly what a
-// from-scratch load of the surviving dataset would construct — and demand
-// bit-identical aggregates, moment tables and objective terms.
-void ExpectOracleEquality(OnlineFairKM* engine) {
-  ASSERT_TRUE(engine->Flush().ok());
-
-  const data::Matrix points = engine->SurvivingPoints();
-  const data::SensitiveView survived = engine->SurvivingSensitive();
-  cluster::Assignment assignment = engine->CurrentAssignment();
-
-  // Rebuild the dataset-level distribution from the raw codes/values the way
-  // a cold load would; the engine's incrementally refreshed fractions/means
-  // must already equal these doubles bit-for-bit.
+// Rebuilds the dataset-level distribution from the engine's raw codes and
+// values the way a cold load would, and demands that the engine's kept
+// fractions/means already equal these doubles bit for bit. Returns the cold
+// view.
+data::SensitiveView ExpectColdDistribution(const OnlineFairKM& engine) {
+  const data::SensitiveView survived = engine.SurvivingSensitive();
   std::vector<data::CategoricalSensitive> cats;
   for (const auto& attr : survived.categorical) {
     data::CategoricalSensitive fresh =
@@ -141,6 +133,19 @@ void ExpectOracleEquality(OnlineFairKM* engine) {
               fresh_view.numeric[a].dataset_mean)
         << "numeric mean drifted: attribute " << a;
   }
+  return fresh_view;
+}
+
+// The oracle: Flush(), then rebuild a FRESH FairKMState over copies of the
+// surviving rows / raw sensitive codes / current assignment — exactly what a
+// from-scratch load of the surviving dataset would construct — and demand
+// bit-identical aggregates, moment tables and objective terms.
+void ExpectOracleEquality(OnlineFairKM* engine) {
+  ASSERT_TRUE(engine->Flush().ok());
+
+  const data::Matrix points = engine->SurvivingPoints();
+  const data::SensitiveView fresh_view = ExpectColdDistribution(*engine);
+  cluster::Assignment assignment = engine->CurrentAssignment();
 
   auto fresh_result = core::FairKMState::Create(
       &points, &fresh_view, engine->solver().k(), std::move(assignment));
@@ -179,6 +184,7 @@ void ExpectOracleEquality(OnlineFairKM* engine) {
 class OnlineOracleTest : public ::testing::TestWithParam<EngineConfig> {};
 
 // >= 100 randomized admit/retire ops, interleaved flushes, then the oracle.
+// The kept value counts must give a cold load's fractions after every op.
 TEST_P(OnlineOracleTest, RandomizedAdmitRetireFlushMatchesScratchRebuild) {
   const EngineConfig cfg = GetParam();
   const SeededWorld world = MakeSeededWorld(201);
@@ -212,6 +218,11 @@ TEST_P(OnlineOracleTest, RandomizedAdmitRetireFlushMatchesScratchRebuild) {
       const Status st = engine->Retire(batch);
       ASSERT_TRUE(st.ok()) << st.ToString();
     }
+    {
+      SCOPED_TRACE("after op " + std::to_string(op));
+      ExpectColdDistribution(*engine);
+    }
+    if (HasFailure()) return;
     // Interleave canonical rebuilds so post-flush admits/retires are
     // exercised too (the engine must stay consistent across the reset).
     if (op % 37 == 36) {
@@ -334,10 +345,28 @@ INSTANTIATE_TEST_SUITE_P(AllModes, OnlineOracleTest,
                            return std::string(info.param.name);
                          });
 
-class OnlineDriftTest : public ::testing::Test {
+// Engine tests that own a scratch checkpoint directory and leave no fault
+// point armed behind them.
+class EngineDirTest : public ::testing::Test {
  protected:
-  void TearDown() override { fault::DisarmAll(); }
+  void SetUp() override {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           ("fairkm_online_test_" + std::string(info->test_suite_name()) +
+            "_" + info->name());
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override {
+    fault::DisarmAll();
+    fs::remove_all(dir_);
+  }
+
+  fs::path dir_;
 };
+
+class OnlineDriftTest : public EngineDirTest {};
 
 // End-to-end drift response: an injected non-finite objective reading (the
 // shared "supervisor.objective" fault point) trips the monitor exactly once
@@ -407,24 +436,64 @@ TEST_F(OnlineDriftTest, ResweepRefreshesTheDriftBaseline) {
             stats.last_objective / static_cast<double>(stats.live_rows));
 }
 
-class OnlineRecoveryTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("fairkm_online_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    fault::DisarmAll();
-    fs::remove_all(dir_);
-  }
+// A drift response that fails after its write has committed (here the
+// re-sweep's engine checkpoint write) must not fail the write: Admit returns
+// its ids and Retire returns OK, the failure is counted, every returned id
+// retires, and the flushed state still matches a rebuild.
+TEST_F(OnlineDriftTest, FailedDriftResponseKeepsTheMembershipChange) {
+  const SeededWorld world = MakeSeededWorld(19);
+  OnlineOptions options;
+  options.solver.k = world.k;
+  options.solver.lambda = 60.0;
+  // Only the injected non-finite reading can trip the monitor.
+  options.drift.regression_tolerance = 1e9;
+  options.checkpoint_dir = dir_.string();
+  auto created =
+      OnlineFairKM::Create(world.points, world.sensitive, options, /*seed=*/5);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<OnlineFairKM> engine = std::move(created).ValueOrDie();
+  const OnlineStats before = engine->Stats();
 
-  fs::path dir_;
-};
+  // One non-finite reading trips the monitor; the re-sweep then fails to
+  // write its engine checkpoint.
+  const auto arm_failing_response = [] {
+    fault::FaultSpec once;
+    once.kind = fault::Kind::kError;
+    once.max_fires = 1;
+    fault::Arm("supervisor.objective", once);
+    fault::Arm("online.write", once);
+  };
+
+  Rng rng(23);
+  constexpr size_t kBatch = 64;
+  const data::Matrix pts = MakeBlobs(
+      1, static_cast<int>(kBatch), static_cast<int>(world.points.cols()), &rng);
+  const data::SensitiveView sv = MakeAdmitView(world.sensitive, kBatch, &rng);
+  arm_failing_response();
+  auto admitted = engine->Admit(pts, &sv);
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  const std::vector<uint64_t> ids = std::move(admitted).ValueOrDie();
+  ASSERT_EQ(ids.size(), kBatch);
+  OnlineStats stats = engine->Stats();
+  EXPECT_EQ(stats.live_rows, before.live_rows + kBatch);
+  EXPECT_EQ(stats.admitted, before.admitted + kBatch);
+  EXPECT_EQ(stats.generation, before.generation + 1);  // The re-sweep ran.
+  EXPECT_EQ(stats.resweep_failures, 1u);
+
+  arm_failing_response();
+  ASSERT_TRUE(engine->Retire(ids).ok());
+  stats = engine->Stats();
+  EXPECT_EQ(stats.live_rows, before.live_rows);
+  EXPECT_EQ(stats.retired, before.retired + kBatch);
+  EXPECT_EQ(stats.generation, before.generation + 2);
+  EXPECT_EQ(stats.resweep_failures, 2u);
+  const std::vector<uint64_t> live = engine->LiveIds();
+  const std::unordered_set<uint64_t> live_set(live.begin(), live.end());
+  for (const uint64_t id : ids) EXPECT_EQ(live_set.count(id), 0u) << id;
+  ExpectOracleEquality(engine.get());
+}
+
+class OnlineRecoveryTest : public EngineDirTest {};
 
 TEST_F(OnlineRecoveryTest, CheckpointRecoverRoundTripsTheEngine) {
   const SeededWorld world = MakeSeededWorld(31);
@@ -478,6 +547,43 @@ TEST_F(OnlineRecoveryTest, CheckpointRecoverRoundTripsTheEngine) {
     for (const uint64_t old : ids_before) EXPECT_NE(id, old);
   }
   ExpectOracleEquality(twin.get());
+}
+
+// Recover re-counts the restored codes: the admit and retire batches that
+// follow must keep a cold load's fractions exactly, and the oracle holds.
+TEST_F(OnlineRecoveryTest, RecoveredEngineKeepsExactFractionsThroughWrites) {
+  const SeededWorld world = MakeSeededWorld(43);
+  OnlineOptions options;
+  options.solver.k = world.k;
+  options.solver.lambda = 60.0;
+  options.drift.regression_tolerance = 1e12;
+  options.checkpoint_dir = dir_.string();
+  Rng rng(47);
+  const size_t dim = world.points.cols();
+  {
+    // The checkpointed codes differ from the training rows' codes.
+    auto created = OnlineFairKM::Create(world.points, world.sensitive,
+                                        options, /*seed=*/4);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    OnlineFairKM& original = *created.ValueOrDie();
+    const data::Matrix pts = MakeBlobs(1, 6, static_cast<int>(dim), &rng);
+    const data::SensitiveView sv = MakeAdmitView(world.sensitive, 6, &rng);
+    ASSERT_TRUE(original.Admit(pts, &sv).ok());
+    ASSERT_TRUE(original.Retire({original.LiveIds()[3]}).ok());
+    ASSERT_TRUE(original.Checkpoint().ok());
+  }
+  auto recovered = OnlineFairKM::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  std::unique_ptr<OnlineFairKM> engine = std::move(recovered).ValueOrDie();
+
+  const data::Matrix pts = MakeBlobs(1, 12, static_cast<int>(dim), &rng);
+  const data::SensitiveView sv = MakeAdmitView(world.sensitive, 12, &rng);
+  ASSERT_TRUE(engine->Admit(pts, &sv).ok());
+  ExpectColdDistribution(*engine);
+  const std::vector<uint64_t> live = engine->LiveIds();
+  ASSERT_TRUE(engine->Retire({live[0], live[9], live[30], live.back()}).ok());
+  ExpectColdDistribution(*engine);
+  ExpectOracleEquality(engine.get());
 }
 
 TEST_F(OnlineRecoveryTest, LostSolverFileFallsBackToWarmStartRebuild) {

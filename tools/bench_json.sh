@@ -71,8 +71,9 @@
 #      runs. Every ratio is recorded under `gate_ratios` in $OUT.
 #   8. Online admit throughput: the points_per_sec counter of
 #      BM_Online_Admit (live Eq. 1 insertion scoring + store append + state
-#      adoption + dataset-distribution refresh, batches of 64 against a
-#      4096-row engine) must be >= MIN_ADMIT_POINTS_PER_SEC (default 2000
+#      adoption, then the per-batch distribution refresh from kept value
+#      counts and the pruner resize, batches of 64 against a 4096-row
+#      engine) must be >= MIN_ADMIT_POINTS_PER_SEC (default 2000
 #      points/s — a deliberately conservative floor: the admit path must
 #      stay incremental; falling through to anything resembling a per-batch
 #      retrain drops throughput by orders of magnitude, which is what this
@@ -88,6 +89,13 @@
 #      >= MIN_SILHOUETTE_SPEEDUP (default 3.0) on real time. The AVX2 kernel
 #      clears that on one thread, so the gate holds on small runners; the
 #      scores are bit-identical (tests/quality_test.cc).
+#  10. Online write cost independent of n: BM_Online_Step/80000 vs
+#      BM_Online_Step/20000 (one online-window write — Admit 64 rows, Retire
+#      the 64 oldest — over Adult-like windows of 80k and 20k live rows) must
+#      keep a median real-time ratio <= MAX_ONLINE_STEP_GROWTH (default 1.5)
+#      over ten runs of the pair (as gates 3, 5 and 7). A write that re-reads
+#      every live row (a recount of the codes, a rebuilt pruner) grows ~4x
+#      with the window and fails here.
 # The BM_ActiveKernelBackend_<name> marker entry records which backend the
 # runtime dispatch picked for this host/run.
 #
@@ -98,6 +106,7 @@
 # MIN_REUSE_SPEEDUP (default 1.03), MIN_ASSIGN_SPEEDUP (default 1.7),
 # MAX_SHARDED_OVERHEAD (default 1.15),
 # MIN_ADMIT_POINTS_PER_SEC (default 2000), MIN_SILHOUETTE_SPEEDUP (default 3.0),
+# MAX_ONLINE_STEP_GROWTH (default 1.5),
 # SHARDED_ROWS (unset: carry the existing sharded_scaling curve forward;
 # set to e.g. "1000000,10000000" to re-measure it with tools/sharded_scaling),
 # SKIP_BUILD=1 to use an existing binary as-is (gate 0 still applies).
@@ -119,6 +128,7 @@ MIN_ASSIGN_SPEEDUP=${MIN_ASSIGN_SPEEDUP:-1.7}
 MAX_SHARDED_OVERHEAD=${MAX_SHARDED_OVERHEAD:-1.15}
 MIN_ADMIT_POINTS_PER_SEC=${MIN_ADMIT_POINTS_PER_SEC:-2000}
 MIN_SILHOUETTE_SPEEDUP=${MIN_SILHOUETTE_SPEEDUP:-3.0}
+MAX_ONLINE_STEP_GROWTH=${MAX_ONLINE_STEP_GROWTH:-1.5}
 BENCH="$BUILD_DIR/bench/bench_scaling"
 
 if [[ "${SKIP_BUILD:-0}" != "1" ]]; then
@@ -159,7 +169,7 @@ if [[ -n "$SHARDED_PREV" ]]; then
   mv "$OUT.tmp" "$OUT"
 fi
 
-# Gates 3, 5 and 7 read a median over repeated invocations of their pair
+# Gates 3, 5, 7 and 10 read a median over repeated invocations of their pair
 # (see the header). Repeated invocations, not --benchmark_repetitions,
 # because the vendored benchmark shim ignores that flag.
 PAIR_RUNS=9
@@ -185,10 +195,12 @@ pair_ratios() {
 PRUNE_RATIOS=$(pair_ratios BM_FairKM_Sweep_d64_Exact BM_FairKM_Sweep_d64_Pruned sweep_seconds)
 REUSE_RATIOS=$(pair_ratios BM_FairKM_MultiSeed_Cold BM_FairKM_MultiSeed_Reused real_time)
 OUT_OF_CORE_RATIOS=$(pair_ratios BM_FairKM_OutOfCore_Mmap BM_FairKM_OutOfCore_Mem real_time)
+ONLINE_STEP_RATIOS=$(pair_ratios BM_Online_Step/80000 BM_Online_Step/20000 real_time)
 jq --argjson prune "$PRUNE_RATIOS" --argjson reuse "$REUSE_RATIOS" \
-  --argjson ooc "$OUT_OF_CORE_RATIOS" \
+  --argjson ooc "$OUT_OF_CORE_RATIOS" --argjson step "$ONLINE_STEP_RATIOS" \
   '. + {gate_ratios: {prune_speedup: $prune, solver_reuse_speedup: $reuse,
-                      out_of_core_overhead: $ooc}}' \
+                      out_of_core_overhead: $ooc,
+                      online_step_growth: $step}}' \
   "$OUT" > "$OUT.tmp"
 mv "$OUT.tmp" "$OUT"
 MEDIAN='def median: sort | if length % 2 == 1 then .[length / 2 | floor]
@@ -317,6 +329,18 @@ jq -e --argjson min "$MIN_SILHOUETTE_SPEEDUP" '
   | "silhouette speedup (50k x 8 Adult, 2000 probes): \($speedup * 100 | round / 100)x (scalar \($scalar) vs dispatch \($dispatch))",
     (if $speedup >= $min then "OK: >= \($min)x"
      else error("silhouette speedup \($speedup) below required \($min)x") end)
+' "$OUT"
+
+# Gate 10: an online write must not grow with the live window — the 80k
+# window's Admit 64 + Retire 64 step against the 20k window's.
+jq -e --argjson max "$MAX_ONLINE_STEP_GROWTH" "$MEDIAN"'
+  .gate_ratios.online_step_growth as $ratios
+  | ($ratios | median) as $growth
+  | ([.benchmarks[] | select(.name | startswith("BM_Online_Step/"))
+      | .real_time * 10 | round / 10]) as $steps
+  | "online write step (Admit 64 + Retire 64) at 5k/20k/80k rows: \($steps) us; growth 80k/20k: median \($growth * 100 | round / 100)x over \($ratios | length) runs (\([$ratios[] * 100 | round / 100]))",
+    (if $growth <= $max then "OK: <= \($max)x"
+     else error("online write step grows \($growth)x from 20k to 80k rows, above allowed \($max)x") end)
 ' "$OUT"
 
 echo "wrote $OUT"
