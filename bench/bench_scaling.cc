@@ -708,30 +708,20 @@ void BM_FairKM_OutOfCore_Mmap(benchmark::State& state) {
 }
 BENCHMARK(BM_FairKM_OutOfCore_Mmap)->Unit(benchmark::kMillisecond);
 
-// Online engine benches (src/online/): _Admit measures the steady-state cost
-// of the live Eq. 1 insertion path — per admitted point the engine scores
-// all k clusters (distance + fairness insertion delta), appends to the
-// growable store and adopts the row into the state; per batch it re-derives
-// the n-dependent dataset distribution from its kept value counts and
-// resizes the pruner, both without a pass over the live rows. Each round's
-// ids are retired outside the timed region so the engine holds a steady row
-// count and iterations stay comparable. tools/bench_json.sh gates on the
-// points_per_sec counter (MIN_ADMIT_POINTS_PER_SEC). _DriftResweep measures
-// the full bounded drift-response cycle the supervisor triggers on a
-// regression: canonical Flush rebuild + one budgeted Algorithm-1 sweep +
-// snapshot republish. _Step (below) times a whole write at three window
-// sizes.
+// Online engine benches (src/online/): _DriftResweep measures the full
+// bounded drift-response cycle the supervisor triggers on a regression:
+// canonical Flush rebuild + one budgeted Algorithm-1 sweep + snapshot
+// republish. _Step (below) times a whole write at three window sizes.
 constexpr size_t kOnlineN = 4096;
 constexpr size_t kOnlineD = 64;
-constexpr size_t kOnlineBatch = 64;
 
 online::OnlineOptions OnlineBenchOptions() {
   online::OnlineOptions options;
   options.solver.k = 8;
   options.solver.lambda = core::SuggestLambda(kOnlineN, options.solver.k);
   options.solver.max_iterations = 3;
-  // Keep the drift monitor quiet: each bench exercises exactly one path
-  // (the admit fast path, or the explicitly forced re-sweep).
+  // Keep the drift monitor quiet: the only re-sweep is the explicitly
+  // forced one the bench times.
   options.drift.regression_tolerance = 1e12;
   options.drift.resweep_max_sweeps = 1;
   return options;
@@ -780,30 +770,6 @@ online::OnlineFairKM& OnlineBenchEngine() {
   return *engine;
 }
 
-void BM_Online_Admit(benchmark::State& state) {
-  online::OnlineFairKM& engine = OnlineBenchEngine();
-  const auto& world = SyntheticWorld(kOnlineN, kOnlineD);
-  Rng rng(0x0A1D);
-  const data::Matrix batch = OnlineAdmitBatch(kOnlineBatch, &rng);
-  const data::SensitiveView view =
-      OnlineAdmitView(world.sensitive, kOnlineBatch, &rng);
-  size_t points = 0;
-  double admit_seconds = 0.0;
-  for (auto _ : state) {
-    Timer timer;
-    auto ids = engine.Admit(batch, &view);
-    admit_seconds += timer.ElapsedSeconds();
-    const std::vector<uint64_t>& admitted = ids.ValueOrDie();
-    points += admitted.size();
-    state.PauseTiming();
-    engine.Retire(admitted).Abort();
-    state.ResumeTiming();
-  }
-  state.counters["points_per_sec"] =
-      admit_seconds > 0.0 ? static_cast<double>(points) / admit_seconds : 0.0;
-}
-BENCHMARK(BM_Online_Admit)->Unit(benchmark::kMillisecond);
-
 void BM_Online_DriftResweep(benchmark::State& state) {
   online::OnlineFairKM& engine = OnlineBenchEngine();
   const auto& world = SyntheticWorld(kOnlineN, kOnlineD);
@@ -836,7 +802,9 @@ BENCHMARK(BM_Online_DriftResweep)->Unit(benchmark::kMillisecond);
 // its size. A write costs O(batch (d + sum m)) + O(k sum m) plus an n-byte
 // stale mark of the pruner, so its time must not grow with the window:
 // tools/bench_json.sh gate 10 bounds the step(80000)/step(20000) ratio
-// (MAX_ONLINE_STEP_GROWTH).
+// (MAX_ONLINE_STEP_GROWTH), and gate 8 floors the points_per_sec counter
+// (admitted rows per second of whole steps) at 5000 rows
+// (MIN_ADMIT_POINTS_PER_SEC).
 constexpr size_t kStepBatch = 64;
 constexpr size_t kStepPoolBatches = 64;  // Admitted batches cycle through.
 
@@ -900,6 +868,8 @@ OnlineStepWorld& OnlineStepSetup(size_t window) {
 void BM_Online_Step(benchmark::State& state) {
   OnlineStepWorld& world = OnlineStepSetup(static_cast<size_t>(state.range(0)));
   std::vector<uint64_t> oldest(kStepBatch);
+  size_t points = 0;
+  Timer timer;
   for (auto _ : state) {
     const size_t b = world.next_batch;
     world.next_batch = (b + 1) % kStepPoolBatches;
@@ -907,12 +877,16 @@ void BM_Online_Step(benchmark::State& state) {
         world.engine->Admit(world.batches[b], &world.batch_views[b])
             .ValueOrDie();
     world.live.insert(world.live.end(), ids.begin(), ids.end());
+    points += ids.size();
     for (uint64_t& id : oldest) {
       id = world.live.front();
       world.live.pop_front();
     }
     world.engine->Retire(oldest).Abort();
   }
+  const double seconds = timer.ElapsedSeconds();
+  state.counters["points_per_sec"] =
+      seconds > 0.0 ? static_cast<double>(points) / seconds : 0.0;
 }
 BENCHMARK(BM_Online_Step)
     ->Arg(5000)

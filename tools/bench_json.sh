@@ -13,7 +13,9 @@
 # itself emits — so a debug record fails loudly even if the JSON was produced
 # outside this script.
 #
-# Gates run against the JSON just written:
+# Gates run against the JSON just written. Every gate is evaluated, so one
+# failing gate never hides another's reading; the script then exits non-zero
+# naming each failed gate.
 #   0. Build type: the BM_BuildConfig_* marker (NDEBUG of the bench binary,
 #      not of the benchmark library) must say "release".
 #   1. Delta-kernel speedup: BM_SweepCandidates_Reference (the
@@ -69,13 +71,14 @@
 #      side), so each pair runs PAIR_RUNS (9) more times, both benches in
 #      one invocation, and the gate reads the median ratio over all ten
 #      runs. Every ratio is recorded under `gate_ratios` in $OUT.
-#   8. Online admit throughput: the points_per_sec counter of
-#      BM_Online_Admit (live Eq. 1 insertion scoring + store append + state
-#      adoption, then the per-batch distribution refresh from kept value
-#      counts and the pruner resize, batches of 64 against a 4096-row
-#      engine) must be >= MIN_ADMIT_POINTS_PER_SEC (default 2000
-#      points/s — a deliberately conservative floor: the admit path must
-#      stay incremental; falling through to anything resembling a per-batch
+#   8. Online write throughput: the points_per_sec counter of
+#      BM_Online_Step/5000 (admitted rows per second of whole online-window
+#      writes: Admit 64 rows — live Eq. 1 insertion scoring, store append,
+#      state adoption, the distribution refresh from kept value counts and
+#      the pruner resize — then Retire the 64 oldest, over a 5000-row
+#      window) must be >= MIN_ADMIT_POINTS_PER_SEC (default 2000 points/s —
+#      a deliberately conservative floor: the write path must stay
+#      incremental; falling through to anything resembling a per-batch
 #      retrain drops throughput by orders of magnitude, which is what this
 #      gate is built to catch). BM_Online_DriftResweep (the full bounded
 #      drift response: canonical flush + one budgeted sweep + republish) is
@@ -92,7 +95,7 @@
 #  10. Online write cost independent of n: BM_Online_Step/80000 vs
 #      BM_Online_Step/20000 (one online-window write — Admit 64 rows, Retire
 #      the 64 oldest — over Adult-like windows of 80k and 20k live rows) must
-#      keep a median real-time ratio <= MAX_ONLINE_STEP_GROWTH (default 1.5)
+#      keep a median real-time ratio <= MAX_ONLINE_STEP_GROWTH (1.5, fixed)
 #      over ten runs of the pair (as gates 3, 5 and 7). A write that re-reads
 #      every live row (a recount of the codes, a rebuilt pruner) grows ~4x
 #      with the window and fails here.
@@ -106,7 +109,6 @@
 # MIN_REUSE_SPEEDUP (default 1.03), MIN_ASSIGN_SPEEDUP (default 1.7),
 # MAX_SHARDED_OVERHEAD (default 1.15),
 # MIN_ADMIT_POINTS_PER_SEC (default 2000), MIN_SILHOUETTE_SPEEDUP (default 3.0),
-# MAX_ONLINE_STEP_GROWTH (default 1.5),
 # SHARDED_ROWS (unset: carry the existing sharded_scaling curve forward;
 # set to e.g. "1000000,10000000" to re-measure it with tools/sharded_scaling),
 # SKIP_BUILD=1 to use an existing binary as-is (gate 0 still applies).
@@ -128,7 +130,7 @@ MIN_ASSIGN_SPEEDUP=${MIN_ASSIGN_SPEEDUP:-1.7}
 MAX_SHARDED_OVERHEAD=${MAX_SHARDED_OVERHEAD:-1.15}
 MIN_ADMIT_POINTS_PER_SEC=${MIN_ADMIT_POINTS_PER_SEC:-2000}
 MIN_SILHOUETTE_SPEEDUP=${MIN_SILHOUETTE_SPEEDUP:-3.0}
-MAX_ONLINE_STEP_GROWTH=${MAX_ONLINE_STEP_GROWTH:-1.5}
+readonly MAX_ONLINE_STEP_GROWTH=1.5
 BENCH="$BUILD_DIR/bench/bench_scaling"
 
 if [[ "${SKIP_BUILD:-0}" != "1" ]]; then
@@ -206,32 +208,41 @@ mv "$OUT.tmp" "$OUT"
 MEDIAN='def median: sort | if length % 2 == 1 then .[length / 2 | floor]
                           else (.[length / 2 - 1] + .[length / 2]) / 2 end;'
 
+FAILED_GATES=()
+# gate <number> <jq args...>: runs one gate's jq -e program on $OUT and
+# records its number when it fails, so the later gates still run.
+gate() {
+  local number=$1
+  shift
+  jq -e "$@" "$OUT" || FAILED_GATES+=("$number")
+}
+
 # Gate 0: the binary must have been compiled with NDEBUG (Release); the
 # BM_BuildConfig_<type> marker stamps that into the record itself.
-jq -e '
+gate 0 '
   ([.benchmarks[] | select(.name | startswith("BM_BuildConfig_")) | .name
     | ltrimstr("BM_BuildConfig_")] | first // "missing") as $cfg
   | "bench binary build config: \($cfg)",
     (if $cfg == "release" then "OK: optimized record"
      else error("bench binary built as \($cfg), not release — perf record rejected") end)
-' "$OUT"
+'
 
 # Gate 1: reference kernels vs delta kernels, from the JSON just written
 # (works for both real google-benchmark and the vendored shim — the schema
 # is the same).
-jq -e --argjson min "$MIN_SPEEDUP" '
+gate 1 --argjson min "$MIN_SPEEDUP" '
   (.benchmarks[] | select(.name == "BM_SweepCandidates_Reference") | .real_time) as $ref
   | (.benchmarks[] | select(.name == "BM_SweepCandidates_DeltaKernels") | .real_time) as $opt
   | ($ref / $opt) as $speedup
   | "candidate-evaluation speedup: \($speedup * 100 | round / 100)x (reference \($ref) vs delta kernels \($opt))",
     (if $speedup >= $min then "OK: >= \($min)x"
      else error("speedup \($speedup) below required \($min)x") end)
-' "$OUT"
+'
 
 # Gate 2: the dispatch-selected kernel backend must not regress the GEMV
 # primitive relative to the pinned-scalar backend (d = 256, cpu_time).
 # The sweep-level ratio is printed alongside for trend tracking.
-jq -e --argjson min "$MIN_SIMD_RATIO" '
+gate 2 --argjson min "$MIN_SIMD_RATIO" '
   (.benchmarks[] | select(.name == "BM_KernelGemv_Scalar/256") | .cpu_time) as $scalar
   | (.benchmarks[] | select(.name == "BM_KernelGemv_Dispatch/256") | .cpu_time) as $dispatch
   | (.benchmarks[] | select(.name == "BM_SweepCandidates_DeltaKernels_Scalar") | .real_time) as $sweep_scalar
@@ -242,7 +253,7 @@ jq -e --argjson min "$MIN_SIMD_RATIO" '
   | "dispatch backend: \($backend); scalar-vs-dispatch GEMV(d=256) ratio: \($ratio * 100 | round / 100)x, sweep ratio: \($sweep_scalar / $sweep_dispatch * 100 | round / 100)x",
     (if $ratio >= $min then "OK: >= \($min)x"
      else error("dispatch backend \($backend) regresses the GEMV kernel: ratio \($ratio) below \($min)") end)
-' "$OUT"
+'
 
 # Gate 3: bound-gated pruning must beat the exhaustive sweep at the sweep
 # level on the d=64 / n=50k synthetic world (same seed, bit-identical
@@ -250,7 +261,7 @@ jq -e --argjson min "$MIN_SIMD_RATIO" '
 # from the O(n d) init/finalize work both paths share; the gate reads the
 # median over ten runs of the pair, and the main run's end-to-end real_time
 # ratio is printed alongside for trend tracking.
-jq -e --argjson min "$MIN_PRUNE_SPEEDUP" "$MEDIAN"'
+gate 3 --argjson min "$MIN_PRUNE_SPEEDUP" "$MEDIAN"'
   .gate_ratios.prune_speedup as $ratios
   | ($ratios | median) as $speedup
   | (.benchmarks[] | select(.name == "BM_FairKM_Sweep_d64_Exact") | .real_time) as $exact_e2e
@@ -259,32 +270,32 @@ jq -e --argjson min "$MIN_PRUNE_SPEEDUP" "$MEDIAN"'
   | "pruning sweep-level speedup (d=64, n=50k): median \($speedup * 100 | round / 100)x over \($ratios | length) runs (exact/pruned: \([$ratios[] * 100 | round / 100]); end-to-end \($exact_e2e / $pruned_e2e * 100 | round / 100)x; pruned fraction \($frac * 100 | round)%)",
     (if $speedup >= $min then "OK: >= \($min)x"
      else error("pruning sweep-level speedup \($speedup) below required \($min)x") end)
-' "$OUT"
+'
 
 # Gate 4: the gate must reject at least MIN_PRUNED_FRACTION of candidate
 # evaluations on the Adult all-attributes config.
-jq -e --argjson min "$MIN_PRUNED_FRACTION" '
+gate 4 --argjson min "$MIN_PRUNED_FRACTION" '
   (.benchmarks[] | select(.name == "BM_FairKM_AllAttributes") | .pruned_fraction // 0) as $frac
   | "Adult all-attributes pruned fraction: \($frac * 100 | round)%",
     (if $frac >= $min then "OK: >= \($min * 100 | round)%"
      else error("pruned fraction \($frac) below required \($min)") end)
-' "$OUT"
+'
 
 # Gate 5: reusing one FairKMSolver across seeds must beat constructing a
 # cold solver per seed (same seeds, bit-identical trajectories — only the
 # per-seed setup work differs).
-jq -e --argjson min "$MIN_REUSE_SPEEDUP" "$MEDIAN"'
+gate 5 --argjson min "$MIN_REUSE_SPEEDUP" "$MEDIAN"'
   .gate_ratios.solver_reuse_speedup as $ratios
   | ($ratios | median) as $speedup
   | "multi-seed solver-reuse speedup: median \($speedup * 100 | round / 100)x over \($ratios | length) runs (cold/reused: \([$ratios[] * 100 | round / 100]))",
     (if $speedup >= $min then "OK: >= \($min)x"
      else error("solver-reuse speedup \($speedup) below required \($min)x") end)
-' "$OUT"
+'
 
 # Gate 6: the kernel insertion scorer must beat the per-point scalar oracle
 # by a real margin — same model, same points, bit-identical assignments; the
 # difference is the aligned GEMV + expanded-form distance scoring.
-jq -e --argjson min "$MIN_ASSIGN_SPEEDUP" '
+gate 6 --argjson min "$MIN_ASSIGN_SPEEDUP" '
   (.benchmarks[] | select(.name == "BM_Assign_Scalar") | .real_time) as $scalar
   | (.benchmarks[] | select(.name == "BM_Assign_Batched") | .real_time) as $batched
   | (.benchmarks[] | select(.name == "BM_Assign_Batched") | .points_per_sec // 0) as $pps
@@ -292,48 +303,48 @@ jq -e --argjson min "$MIN_ASSIGN_SPEEDUP" '
   | "batched-assign speedup: \($speedup * 100 | round / 100)x (scalar \($scalar) vs batched \($batched); batched throughput \($pps | round) points/s)",
     (if $speedup >= $min then "OK: >= \($min)x"
      else error("batched-assign speedup \($speedup) below required \($min)x") end)
-' "$OUT"
+'
 
 # Gate 7: a session over the mmap store walks the same trajectory as one
 # over the in-memory store (tests/out_of_core_sweep_test.cc pins
 # bit-identity); this gate bounds what the residency control COSTS.
-jq -e --argjson max "$MAX_SHARDED_OVERHEAD" "$MEDIAN"'
+gate 7 --argjson max "$MAX_SHARDED_OVERHEAD" "$MEDIAN"'
   .gate_ratios.out_of_core_overhead as $ratios
   | ($ratios | median) as $overhead
   | "out-of-core overhead: median \($overhead * 100 | round / 100)x over \($ratios | length) runs (mmap/mem: \([$ratios[] * 100 | round / 100]))",
     (if $overhead <= $max then "OK: <= \($max)x"
      else error("out-of-core overhead \($overhead) above allowed \($max)x") end)
-' "$OUT"
+'
 
-# Gate 8: the online admit path must sustain incremental throughput. The
-# counter times ONLY the Admit calls (retires that keep the engine at a
-# steady row count run outside the timed region), so this is the live
-# insertion-scoring path: anything that degenerates toward a per-batch
-# retrain craters points_per_sec and fails here. The forced-re-sweep bench
-# is printed alongside for trend tracking (its cost is O(n) by design).
-jq -e --argjson min "$MIN_ADMIT_POINTS_PER_SEC" '
-  (.benchmarks[] | select(.name == "BM_Online_Admit") | .points_per_sec // 0) as $pps
+# Gate 8: the online write path must sustain incremental throughput. The
+# counter times whole writes (the Admit and the Retire that keeps the window
+# at a steady row count), so anything that degenerates toward a per-batch
+# retrain on either side craters points_per_sec and fails here. The
+# forced-re-sweep bench is printed alongside for trend tracking (its cost is
+# O(n) by design).
+gate 8 --argjson min "$MIN_ADMIT_POINTS_PER_SEC" '
+  (.benchmarks[] | select(.name == "BM_Online_Step/5000") | .points_per_sec // 0) as $pps
   | (.benchmarks[] | select(.name == "BM_Online_DriftResweep") | .real_time) as $resweep
-  | "online admit throughput: \($pps | round) points/s (drift re-sweep \($resweep * 100 | round / 100) ms/cycle)",
+  | "online write throughput (Admit 64 + Retire 64, 5k rows): \($pps | round) points/s (drift re-sweep \($resweep * 100 | round / 100) ms/cycle)",
     (if $pps >= $min then "OK: >= \($min) points/s"
-     else error("online admit throughput \($pps) below required \($min) points/s") end)
-' "$OUT"
+     else error("online write throughput \($pps) below required \($min) points/s") end)
+'
 
 # Gate 9: the silhouette through the kernel backend and threads must beat
 # the single-threaded scalar loop it replaced — same matrix, same probes,
 # bit-identical score.
-jq -e --argjson min "$MIN_SILHOUETTE_SPEEDUP" '
+gate 9 --argjson min "$MIN_SILHOUETTE_SPEEDUP" '
   (.benchmarks[] | select(.name == "BM_Silhouette_Scalar") | .real_time) as $scalar
   | (.benchmarks[] | select(.name == "BM_Silhouette_Dispatch") | .real_time) as $dispatch
   | ($scalar / $dispatch) as $speedup
   | "silhouette speedup (50k x 8 Adult, 2000 probes): \($speedup * 100 | round / 100)x (scalar \($scalar) vs dispatch \($dispatch))",
     (if $speedup >= $min then "OK: >= \($min)x"
      else error("silhouette speedup \($speedup) below required \($min)x") end)
-' "$OUT"
+'
 
 # Gate 10: an online write must not grow with the live window — the 80k
 # window's Admit 64 + Retire 64 step against the 20k window's.
-jq -e --argjson max "$MAX_ONLINE_STEP_GROWTH" "$MEDIAN"'
+gate 10 --argjson max "$MAX_ONLINE_STEP_GROWTH" "$MEDIAN"'
   .gate_ratios.online_step_growth as $ratios
   | ($ratios | median) as $growth
   | ([.benchmarks[] | select(.name | startswith("BM_Online_Step/"))
@@ -341,6 +352,10 @@ jq -e --argjson max "$MAX_ONLINE_STEP_GROWTH" "$MEDIAN"'
   | "online write step (Admit 64 + Retire 64) at 5k/20k/80k rows: \($steps) us; growth 80k/20k: median \($growth * 100 | round / 100)x over \($ratios | length) runs (\([$ratios[] * 100 | round / 100]))",
     (if $growth <= $max then "OK: <= \($max)x"
      else error("online write step grows \($growth)x from 20k to 80k rows, above allowed \($max)x") end)
-' "$OUT"
+'
 
+if ((${#FAILED_GATES[@]} > 0)); then
+  echo "bench_json: gate(s) ${FAILED_GATES[*]} failed; record written to $OUT" >&2
+  exit 1
+fi
 echo "wrote $OUT"

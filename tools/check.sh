@@ -74,8 +74,10 @@ echo "$SUP_OUT" | grep -q 'supervisor: rollbacks = 1 (non-finite 1' \
 # Online drift gate: the same env-armed divergence fault against the online
 # engine's drift monitor (shared "supervisor.objective" point) must trigger
 # exactly one bounded re-sweep — with the tolerance pushed out of reach, the
-# injected non-finite objective is the ONLY thing that can fire it — and the
-# flushed state must still match a from-scratch rebuild (the oracle line).
+# injected non-finite objective is the ONLY thing that can fire it — that
+# re-sweep must succeed (Admit/Retire only count a failed drift response in
+# resweep_failures, they do not return it), and the flushed state must still
+# match a from-scratch rebuild (the oracle line).
 echo "== online: injected divergence -> exactly one bounded re-sweep =="
 ONLINE_OUT=$(FAIRKM_FAULT='supervisor.objective=error,fires=1' \
   "$BUILD_DIR/tools/fairkm_cli" --online-bench --seed 5 \
@@ -83,6 +85,8 @@ ONLINE_OUT=$(FAIRKM_FAULT='supervisor.objective=error,fires=1' \
 echo "$ONLINE_OUT" | grep -E 'resweeps|oracle'
 echo "$ONLINE_OUT" | grep -q 'online: resweeps = 1,' \
   || { echo "online gate: expected exactly one drift re-sweep" >&2; exit 1; }
+echo "$ONLINE_OUT" | grep -q 'resweep_failures = 0,' \
+  || { echo "online gate: a drift response failed after its write" >&2; exit 1; }
 echo "$ONLINE_OUT" | grep -q 'online: oracle = ok' \
   || { echo "online gate: flushed state diverged from rebuild" >&2; exit 1; }
 

@@ -355,9 +355,10 @@ Status OnlineBench(const ArgParser& args) {
       static_cast<unsigned long long>(retired));
   std::printf("stream: %.1f ms wall\n", wall * 1e3);
   std::printf(
-      "online: resweeps = %llu, flushes = %llu, generation = %llu, "
-      "live rows = %zu\n",
+      "online: resweeps = %llu, resweep_failures = %llu, flushes = %llu, "
+      "generation = %llu, live rows = %zu\n",
       static_cast<unsigned long long>(stats.resweeps),
+      static_cast<unsigned long long>(stats.resweep_failures),
       static_cast<unsigned long long>(stats.flushes),
       static_cast<unsigned long long>(stats.generation), stats.live_rows);
   std::printf("online: objective = %.6f (per point %.6f, baseline %.6f)\n",
