@@ -231,7 +231,7 @@ Status WriteSectionFile(const std::string& path, uint32_t magic,
 }
 
 Result<SectionFile> ReadSectionFile(const std::string& path, uint32_t magic,
-                                    uint32_t max_version,
+                                    uint32_t version,
                                     const std::string& fault_scope) {
   std::string file;
   FAIRKM_RETURN_NOT_OK(ReadFile(path, &file, fault_scope));
@@ -243,9 +243,9 @@ Result<SectionFile> ReadSectionFile(const std::string& path, uint32_t magic,
   }
   const uint32_t header_crc = MaskCrc32c(Crc32c(file.data(), kHeaderBytes));
   SectionFile out;
-  uint32_t file_magic, section_count, stored_header_crc;
+  uint32_t file_magic, file_version, section_count, stored_header_crc;
   FAIRKM_RETURN_NOT_OK(reader.GetU32(&file_magic));
-  FAIRKM_RETURN_NOT_OK(reader.GetU32(&out.version));
+  FAIRKM_RETURN_NOT_OK(reader.GetU32(&file_version));
   FAIRKM_RETURN_NOT_OK(reader.GetU32(&section_count));
   FAIRKM_RETURN_NOT_OK(reader.GetU32(&stored_header_crc));
   if (file_magic != magic) {
@@ -254,10 +254,10 @@ Result<SectionFile> ReadSectionFile(const std::string& path, uint32_t magic,
   if (stored_header_crc != header_crc) {
     return Status::DataLoss("header checksum mismatch in " + path);
   }
-  if (out.version > max_version) {
+  if (file_version != version) {
     return Status::InvalidArgument(
-        "unsupported format version " + std::to_string(out.version) + " in " +
-        path + " (this build reads <= " + std::to_string(max_version) + ")");
+        "unsupported format version " + std::to_string(file_version) + " in " +
+        path + " (this build reads version " + std::to_string(version) + ")");
   }
   out.sections.reserve(section_count);
   for (uint32_t i = 0; i < section_count; ++i) {

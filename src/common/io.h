@@ -22,9 +22,9 @@
 // first 12 bytes, each section CRC covers the section's tag, declared size,
 // and payload, so flipped framing fields are as detectable as flipped data. Any
 // mismatch — bad magic, bad CRC, truncated section, trailing garbage —
-// reads as kDataLoss so callers can fall back to an older checkpoint. An
-// unsupported (newer) format version reads as kInvalidArgument: the file is
-// intact, this binary is just too old for it.
+// reads as kDataLoss so callers can fall back to an older checkpoint. Each
+// caller reads exactly one format version; any other, older or newer, reads
+// as kInvalidArgument: the file is intact, this build just does not read it.
 //
 // BinaryWriter/BinaryReader are the flat serializers for section payloads.
 // Doubles travel as their raw 8-byte images (memcpy, no text round-trip) so
@@ -195,9 +195,8 @@ struct Section {
   std::string payload;
 };
 
-/// \brief Parsed section file: format version plus sections in file order.
+/// \brief Parsed section file: its sections in file order.
 struct SectionFile {
-  uint32_t version = 0;
   std::vector<Section> sections;
 
   /// First section with `tag`, or null when absent.
@@ -226,10 +225,10 @@ Status WriteSectionFile(const std::string& path, uint32_t magic,
                         const std::string& fault_scope);
 
 /// \brief Reads and verifies a section file. kDataLoss on any corruption,
-/// kInvalidArgument when the format version is newer than `max_version`,
-/// kNotFound when the file is absent.
+/// kInvalidArgument when the format version is not `version`, kNotFound
+/// when the file is absent.
 Result<SectionFile> ReadSectionFile(const std::string& path, uint32_t magic,
-                                    uint32_t max_version,
+                                    uint32_t version,
                                     const std::string& fault_scope);
 
 /// \brief Best-effort fsync of the directory containing `path`, making a

@@ -11,7 +11,7 @@ namespace core {
 namespace {
 
 constexpr uint32_t kMagic = 0x464B4D43;  // "CMKF" on disk, read as FKMC
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr char kFaultScope[] = "checkpoint";
 
 // Section tags.
@@ -123,20 +123,6 @@ Status GetNested(io::BinaryReader* r, std::vector<Inner>* v,
   return Status::OK();
 }
 
-void PutNestedDoubles(io::BinaryWriter* w,
-                      const std::vector<std::vector<double>>& v) {
-  PutNested(w, v, [](io::BinaryWriter* w2, const std::vector<double>& inner) {
-    PutDoubles(w2, inner);
-  });
-}
-
-Status GetNestedDoubles(io::BinaryReader* r,
-                        std::vector<std::vector<double>>* v) {
-  return GetNested(r, v, [](io::BinaryReader* r2, std::vector<double>* inner) {
-    return GetDoubles(r2, inner);
-  });
-}
-
 // ---- sections ---------------------------------------------------------
 
 std::string EncodeMeta(const SolverCheckpoint& cp) {
@@ -144,11 +130,6 @@ std::string EncodeMeta(const SolverCheckpoint& cp) {
   w.PutU64(cp.num_rows);
   w.PutU32(static_cast<uint32_t>(cp.k));
   w.PutU64(cp.batch_size);
-  // Format version 1 carried a sweep-mode byte here. The snapshot-parallel
-  // mode it flagged walked the serial mini-batch trajectory bit for bit, so
-  // it is written as 0 and ignored on read: such a checkpoint restores into
-  // the serial mini-batch solver unchanged.
-  w.PutU8(0);
   w.PutDouble(cp.lambda);
   w.PutU32(static_cast<uint32_t>(cp.sweeps_completed));
   w.PutU8(cp.converged ? 1 : 0);
@@ -173,7 +154,6 @@ Status DecodeMeta(const std::string& payload, SolverCheckpoint* cp) {
   cp->k = static_cast<int>(u32);
   FAIRKM_RETURN_NOT_OK(r.GetU64(&u64));
   cp->batch_size = static_cast<size_t>(u64);
-  FAIRKM_RETURN_NOT_OK(r.GetU8(&u8));  // Retired sweep-mode byte.
   FAIRKM_RETURN_NOT_OK(r.GetDouble(&cp->lambda));
   FAIRKM_RETURN_NOT_OK(r.GetU32(&u32));
   cp->sweeps_completed = static_cast<int>(u32);
@@ -197,71 +177,48 @@ std::string EncodeState(const FairKMState::Checkpoint& st) {
   PutI32s(&w, st.assignment);
   PutSizes(&w, st.counts);
   PutDoubles(&w, st.sums);
-  PutDoubles(&w, st.sum_norms);
+  w.PutDouble(st.total_point_norm);
   PutNested(&w, st.cat_counts,
             [](io::BinaryWriter* w2, const std::vector<int64_t>& inner) {
               PutI64s(w2, inner);
             });
-  PutNestedDoubles(&w, st.num_sums);
-  PutNestedDoubles(&w, st.cat_u2);
-  PutNestedDoubles(&w, st.cat_uq);
+  PutNested(&w, st.num_sums,
+            [](io::BinaryWriter* w2, const std::vector<double>& inner) {
+              PutDoubles(w2, inner);
+            });
   w.PutU8(st.use_snapshot ? 1 : 0);
   PutSizes(&w, st.proto_counts);
   PutDoubles(&w, st.proto_sums);
-  PutDoubles(&w, st.proto_sum_norms);
   w.PutU8(st.track_bounds ? 1 : 0);
   PutDoubles(&w, st.drift);
   w.PutDouble(st.max_step_sum);
-  PutNestedDoubles(&w, st.cat_rem_delta);
-  PutNestedDoubles(&w, st.cat_ins_delta);
-  PutDoubles(&w, st.fair_rem_bound);
-  PutDoubles(&w, st.fair_ins_bound);
-  w.PutDouble(st.ins_best);
-  w.PutDouble(st.ins_second);
-  w.PutU32(static_cast<uint32_t>(st.ins_best_cluster));
-  w.PutDouble(st.addf_best);
-  w.PutDouble(st.addf_second);
-  w.PutU32(static_cast<uint32_t>(st.addf_best_cluster));
   return w.Release();
 }
 
 Status DecodeState(const std::string& payload, FairKMState::Checkpoint* st) {
   io::BinaryReader r(payload);
   uint8_t u8 = 0;
-  uint32_t u32 = 0;
   FAIRKM_RETURN_NOT_OK(GetI32s(&r, &st->assignment));
   FAIRKM_RETURN_NOT_OK(GetSizes(&r, &st->counts));
   FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->sums));
-  FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->sum_norms));
+  FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->total_point_norm));
   FAIRKM_RETURN_NOT_OK(GetNested(
       &r, &st->cat_counts,
       [](io::BinaryReader* r2, std::vector<int64_t>* inner) {
         return GetI64s(r2, inner);
       }));
-  FAIRKM_RETURN_NOT_OK(GetNestedDoubles(&r, &st->num_sums));
-  FAIRKM_RETURN_NOT_OK(GetNestedDoubles(&r, &st->cat_u2));
-  FAIRKM_RETURN_NOT_OK(GetNestedDoubles(&r, &st->cat_uq));
+  FAIRKM_RETURN_NOT_OK(GetNested(
+      &r, &st->num_sums, [](io::BinaryReader* r2, std::vector<double>* inner) {
+        return GetDoubles(r2, inner);
+      }));
   FAIRKM_RETURN_NOT_OK(r.GetU8(&u8));
   st->use_snapshot = u8 != 0;
   FAIRKM_RETURN_NOT_OK(GetSizes(&r, &st->proto_counts));
   FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->proto_sums));
-  FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->proto_sum_norms));
   FAIRKM_RETURN_NOT_OK(r.GetU8(&u8));
   st->track_bounds = u8 != 0;
   FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->drift));
   FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->max_step_sum));
-  FAIRKM_RETURN_NOT_OK(GetNestedDoubles(&r, &st->cat_rem_delta));
-  FAIRKM_RETURN_NOT_OK(GetNestedDoubles(&r, &st->cat_ins_delta));
-  FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->fair_rem_bound));
-  FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->fair_ins_bound));
-  FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->ins_best));
-  FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->ins_second));
-  FAIRKM_RETURN_NOT_OK(r.GetU32(&u32));
-  st->ins_best_cluster = static_cast<int>(u32);
-  FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->addf_best));
-  FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->addf_second));
-  FAIRKM_RETURN_NOT_OK(r.GetU32(&u32));
-  st->addf_best_cluster = static_cast<int>(u32);
   return r.ExpectFullyConsumed();
 }
 

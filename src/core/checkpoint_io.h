@@ -1,16 +1,24 @@
 // Durable on-disk form of core::SolverCheckpoint.
 //
-// The file is a section container (common/io.h) with magic "FKMC" and three
-// sections: run metadata, the FairKMState float aggregates, and (when the
-// run prunes) the SweepPruner bound tables. Every double is stored as its
-// raw 8-byte image, so a solver restored from disk replays the exact
-// trajectory of the in-memory Snapshot()/Restore() path — bit-identical
-// assignments, objective history, and pruning counters.
+// The file is a section container (common/io.h) with magic "FKMC", format
+// version 2, and three sections:
+//   * meta: n, k, mini-batch size, lambda, the sweep cursor and counters,
+//     the objective history;
+//   * state: FairKMState::Checkpoint — the assignment, counts, live,
+//     prototype and numeric sums, the total point norm, drift history and
+//     the two mode flags. The derived tables (sum norms, U2/UQ moments,
+//     fairness bound tables) are not stored: Restore rebuilds them;
+//   * pruner (when the run prunes): the SweepPruner per-point bounds.
+// Every double is stored as its raw 8-byte image, so a solver restored from
+// disk replays the exact trajectory of the in-memory Snapshot()/Restore()
+// path — bit-identical assignments, objective history, and pruning
+// counters.
 //
 // Corruption (torn write, truncation, bit rot) reads as kDataLoss — the
-// signal FairKMSolver::ResumeFromCheckpointDir uses to fall back to the
-// previous good checkpoint. A file written by a NEWER format version reads
-// as kInvalidArgument (intact file, too-old binary).
+// signal FairKMSolver::ResumeFromCheckpointDir uses to quarantine the file
+// and fall back to the previous good checkpoint. A file of any other format
+// version, older or newer, reads as kInvalidArgument: it is intact, this
+// build just does not read it.
 
 #ifndef FAIRKM_CORE_CHECKPOINT_IO_H_
 #define FAIRKM_CORE_CHECKPOINT_IO_H_
@@ -30,7 +38,7 @@ Status WriteSolverCheckpoint(const std::string& path,
                              const SolverCheckpoint& cp);
 
 /// \brief Reads and verifies a checkpoint file. kDataLoss on corruption,
-/// kNotFound when absent, kInvalidArgument on a newer format version.
+/// kNotFound when absent, kInvalidArgument on any other format version.
 Result<SolverCheckpoint> ReadSolverCheckpoint(const std::string& path);
 
 /// \brief Canonical file name of the checkpoint taken after

@@ -779,28 +779,15 @@ void FairKMState::SaveCheckpoint(Checkpoint* out) const {
   out->assignment = assignment_;
   out->counts = counts_;
   out->sums = sums_;
-  out->sum_norms = sum_norms_;
+  out->total_point_norm = total_point_norm_;
   out->cat_counts = cat_counts_;
   out->num_sums = num_sums_;
-  out->cat_u2 = cat_u2_;
-  out->cat_uq = cat_uq_;
   out->use_snapshot = use_snapshot_;
   out->proto_counts = proto_counts_;
   out->proto_sums = proto_sums_;
-  out->proto_sum_norms = proto_sum_norms_;
   out->track_bounds = track_bounds_;
   out->drift = drift_;
   out->max_step_sum = max_step_sum_;
-  out->cat_rem_delta = cat_rem_delta_;
-  out->cat_ins_delta = cat_ins_delta_;
-  out->fair_rem_bound = fair_rem_bound_;
-  out->fair_ins_bound = fair_ins_bound_;
-  out->ins_best = ins_best_;
-  out->ins_second = ins_second_;
-  out->ins_best_cluster = ins_best_cluster_;
-  out->addf_best = addf_best_;
-  out->addf_second = addf_second_;
-  out->addf_best_cluster = addf_best_cluster_;
 }
 
 Status FairKMState::ValidateCheckpoint(const Checkpoint& cp) const {
@@ -815,39 +802,39 @@ Status FairKMState::ValidateCheckpoint(const Checkpoint& cp) const {
   // next sweep past the end of a count table.
   const size_t k = static_cast<size_t>(k_);
   const size_t num_cat = sensitive_->categorical.size();
-  const size_t num_num = sensitive_->numeric.size();
-  const size_t bound_k = track_bounds_ ? k : 0;
-  const auto rows_are = [](const auto& table, size_t rows, auto row_size) {
-    if (table.size() != rows) return false;
-    for (size_t a = 0; a < rows; ++a) {
-      if (table[a].size() != row_size(a)) return false;
-    }
-    return true;
-  };
   const auto per_value = [&](size_t a) {
     return k * static_cast<size_t>(sensitive_->categorical[a].cardinality);
   };
-  const auto per_cluster = [k](size_t) { return k; };
-  const bool shapes_ok =
-      cp.counts.size() == k && cp.sums.size() == k * stride_ &&
-      cp.sum_norms.size() == k && rows_are(cp.cat_counts, num_cat, per_value) &&
-      rows_are(cp.num_sums, num_num, per_cluster) &&
-      rows_are(cp.cat_u2, num_cat, per_cluster) &&
-      rows_are(cp.cat_uq, num_cat, per_cluster) &&
-      cp.proto_counts.size() == k && cp.proto_sums.size() == k * stride_ &&
-      cp.proto_sum_norms.size() == k && cp.drift.size() == bound_k &&
-      rows_are(cp.cat_rem_delta, track_bounds_ ? num_cat : 0, per_value) &&
-      rows_are(cp.cat_ins_delta, track_bounds_ ? num_cat : 0, per_value) &&
-      cp.fair_rem_bound.size() == bound_k &&
-      cp.fair_ins_bound.size() == bound_k;
+  bool shapes_ok = cp.counts.size() == k && cp.sums.size() == k * stride_ &&
+                   cp.cat_counts.size() == num_cat &&
+                   cp.num_sums.size() == sensitive_->numeric.size() &&
+                   cp.proto_counts.size() == k &&
+                   cp.proto_sums.size() == k * stride_ &&
+                   cp.drift.size() == (track_bounds_ ? k : 0);
+  for (size_t a = 0; shapes_ok && a < num_cat; ++a) {
+    shapes_ok = cp.cat_counts[a].size() == per_value(a);
+  }
+  for (size_t a = 0; shapes_ok && a < cp.num_sums.size(); ++a) {
+    shapes_ok = cp.num_sums[a].size() == k;
+  }
   if (!shapes_ok) {
     return Status::InvalidArgument(
         "checkpoint shape does not match this state's points/sensitive/k");
   }
-  if (cp.ins_best_cluster < -1 || cp.ins_best_cluster >= k_ ||
-      cp.addf_best_cluster < -1 || cp.addf_best_cluster >= k_) {
+  // Every kept double feeds the sweep's arithmetic, and NaN fails every
+  // comparison the pruning gate makes; drift only ever accumulates.
+  const auto finite = [](double x) { return std::isfinite(x); };
+  const auto drift = [](double x) { return std::isfinite(x) && x >= 0.0; };
+  const auto all = [](const auto& values, auto ok) {
+    return std::all_of(values.begin(), values.end(), ok);
+  };
+  bool values_ok = all(cp.sums, finite) && all(cp.proto_sums, finite) &&
+                   std::isfinite(cp.total_point_norm) &&
+                   all(cp.drift, drift) && drift(cp.max_step_sum);
+  for (const auto& row : cp.num_sums) values_ok = values_ok && all(row, finite);
+  if (!values_ok) {
     return Status::InvalidArgument(
-        "checkpoint best-cluster index outside [-1, k)");
+        "checkpoint holds a non-finite value or a negative drift");
   }
   // The counts must be the ones the assignment gives over this state's own
   // codes: the fairness deltas read them as the truth.
@@ -878,28 +865,30 @@ Status FairKMState::RestoreCheckpoint(const Checkpoint& cp) {
   assignment_ = cp.assignment;
   counts_ = cp.counts;
   sums_ = cp.sums;
-  sum_norms_ = cp.sum_norms;
+  total_point_norm_ = cp.total_point_norm;
   cat_counts_ = cp.cat_counts;
   num_sums_ = cp.num_sums;
-  cat_u2_ = cp.cat_u2;
-  cat_uq_ = cp.cat_uq;
   proto_counts_ = cp.proto_counts;
   proto_sums_ = cp.proto_sums;
-  proto_sum_norms_ = cp.proto_sum_norms;
   drift_ = cp.drift;
   max_step_sum_ = cp.max_step_sum;
-  cat_rem_delta_ = cp.cat_rem_delta;
-  cat_ins_delta_ = cp.cat_ins_delta;
-  fair_rem_bound_ = cp.fair_rem_bound;
-  fair_ins_bound_ = cp.fair_ins_bound;
-  ins_best_ = cp.ins_best;
-  ins_second_ = cp.ins_second;
-  ins_best_cluster_ = cp.ins_best_cluster;
-  addf_best_ = cp.addf_best;
-  addf_second_ = cp.addf_second;
-  addf_best_cluster_ = cp.addf_best_cluster;
-  // Derived state, rebuilt from the counts just validated and restored.
+  // Derived state, rebuilt from what was just restored with the routines
+  // that maintain it, so it equals the source's bit for bit. The drift is
+  // history, not derived: it stays as restored.
   RefreshScales();
+  for (int c = 0; c < k_; ++c) {
+    const size_t off = static_cast<size_t>(c) * stride_;
+    sum_norms_[static_cast<size_t>(c)] =
+        kernels::Dot(sums_.data() + off, sums_.data() + off, stride_);
+    proto_sum_norms_[static_cast<size_t>(c)] = kernels::Dot(
+        proto_sums_.data() + off, proto_sums_.data() + off, stride_);
+    for (size_t a = 0; a < cat_counts_.size(); ++a) RecomputeCatMoments(a, c);
+  }
+  if (track_bounds_) {
+    for (int c = 0; c < k_; ++c) RecomputeFairBounds(c);
+    RescanInsertionBounds();
+    RescanAdditionFactors();
+  }
   return Status::OK();
 }
 

@@ -52,8 +52,11 @@
 // (n changes) and in RestoreCheckpoint. Both passes, FairRemovalDelta,
 // RecomputeFairBounds and FairnessTermCached read it; DeltaFairness and
 // ReferenceDeltaFairness call ClusterScale directly and stay the
-// per-candidate references the tests pin the cache against. The cache is
-// not part of a Checkpoint.
+// per-candidate references the tests pin the cache against.
+//
+// A Checkpoint keeps primary state only. The sum norms, the moments, the
+// scale cache and every bound table are functions of it, which
+// RestoreCheckpoint rebuilds with the routines above.
 //
 // Bound tracking (EnableBoundTracking) adds the cluster-level side of the
 // sweep pruning engine (core/pruning.h):
@@ -126,41 +129,36 @@ class FairKMState {
   /// is recomputed from scratch (zero drift, fresh tables).
   Status Reset(cluster::Assignment initial);
 
-  /// \brief Full copy of the per-assignment mutable state (everything except
-  /// the immutable point store / norm caches), the payload of
-  /// core::FairKMSolver checkpoints. Restoring it reproduces the exact
-  /// floating-point aggregates — including the incremental summation order
-  /// baked into the sums — so resumed trajectories are bit-identical.
+  /// \brief The primary per-assignment state, the payload of
+  /// core::FairKMSolver checkpoints: the assignment, the float sums in their
+  /// incremental summation order (live, prototype and numeric, and the
+  /// total point norm, which online admits and retires update in place),
+  /// the drift history and the two mode flags. The counts ride along as a
+  /// fingerprint of the session the checkpoint was taken in. Everything
+  /// else the state holds is derived from these and rebuilt on restore.
   struct Checkpoint {
     cluster::Assignment assignment;
     std::vector<size_t> counts;
     data::AlignedVector sums;
-    std::vector<double> sum_norms;
+    double total_point_norm = 0.0;
     std::vector<std::vector<int64_t>> cat_counts;
     std::vector<std::vector<double>> num_sums;
-    std::vector<std::vector<double>> cat_u2, cat_uq;
     bool use_snapshot = false;
     std::vector<size_t> proto_counts;
     data::AlignedVector proto_sums;
-    std::vector<double> proto_sum_norms;
     bool track_bounds = false;
     std::vector<double> drift;
     double max_step_sum = 0.0;
-    std::vector<std::vector<double>> cat_rem_delta, cat_ins_delta;
-    std::vector<double> fair_rem_bound, fair_ins_bound;
-    double ins_best = 0.0, ins_second = 0.0;
-    int ins_best_cluster = -1;
-    double addf_best = 0.0, addf_second = 0.0;
-    int addf_best_cluster = -1;
   };
   void SaveCheckpoint(Checkpoint* out) const;
   /// \brief Restores a checkpoint taken from a state over the same
-  /// points/sensitive/k and the same snapshot/bound-tracking modes. Rejects
-  /// with kInvalidArgument, before anything is overwritten, a checkpoint
-  /// whose tables do not have this state's shapes (every inner table
-  /// included), whose best-cluster indices fall outside [-1, k), or whose
-  /// cluster and group counts differ from the ones its assignment gives
-  /// over this state's sensitive codes.
+  /// points/sensitive/k and snapshot/bound-tracking modes, then rebuilds
+  /// every derived table with the routines that maintain it, so the state
+  /// equals the source bit for bit. Rejects with kInvalidArgument, before
+  /// anything is overwritten, a checkpoint whose tables do not have this
+  /// state's shapes (inner tables included), whose counts differ from the
+  /// ones its assignment gives over this state's codes, or that holds a
+  /// non-finite value or a negative drift.
   Status RestoreCheckpoint(const Checkpoint& cp);
 
   // --- Online growth hooks (src/online/). The caller mutates the backing
@@ -436,7 +434,9 @@ class FairKMState {
   // for the two touched clusters on Move).
   std::vector<double> point_norms_;
   std::vector<double> sum_norms_;
-  double total_point_norm_ = 0.0;  // sum_i ||x_i||^2 (immutable).
+  // sum_i ||x_i||^2: summed in row order by a build, then updated in place
+  // by AdmitAppended/RetireSwapped.
+  double total_point_norm_ = 0.0;
 
   // Fairness moments: cat_u2_[a][c] = sum_s u_s^2, cat_uq_[a][c] =
   // sum_s u_s q_s, cat_q2_[a] = sum_s q_s^2 (assignment-independent).

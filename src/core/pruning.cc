@@ -1,5 +1,6 @@
 #include "core/pruning.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -179,6 +180,18 @@ Status SweepPruner::ValidateCheckpoint(const Checkpoint& cp) const {
       cp.fresh.size() != fresh_.size()) {
     return Status::InvalidArgument(
         "pruner checkpoint shape does not match this state's n/k");
+  }
+  // Distances and drift stamps: NaN would fail every gate comparison and
+  // prune the point unseen.
+  const auto distances = [](const std::vector<double>& values) {
+    return std::all_of(values.begin(), values.end(), [](double x) {
+      return std::isfinite(x) && x >= 0.0;
+    });
+  };
+  if (!distances(cp.lb0) || !distances(cp.drift_ref) ||
+      !distances(cp.lbmin0) || !distances(cp.max_drift_ref)) {
+    return Status::InvalidArgument(
+        "pruner checkpoint holds a non-finite or negative bound");
   }
   return Status::OK();
 }

@@ -108,7 +108,8 @@ class SweepPruner {
   };
   void SaveCheckpoint(Checkpoint* out) const;
   /// \brief kInvalidArgument unless every table of `cp` has this pruner's
-  /// shape (n k entries for lb0/drift_ref, n for the rest).
+  /// shape (n k entries for lb0/drift_ref, n for the rest) and every bound
+  /// and drift stamp is finite and non-negative.
   Status ValidateCheckpoint(const Checkpoint& cp) const;
   /// \brief Validates, then restores; nothing is overwritten on failure.
   Status RestoreCheckpoint(const Checkpoint& cp);

@@ -416,6 +416,10 @@ Status FairKMSolver::Restore(const SolverCheckpoint& cp) {
     return Status::InvalidArgument(
         "checkpoint was taken under a different pruning setting");
   }
+  if (!(std::isfinite(cp.lambda) && cp.lambda >= 0.0)) {
+    return Status::InvalidArgument(
+        "checkpoint lambda is not a finite, non-negative weight");
+  }
   if (cp.next_point != 0 &&
       (cp.next_point >= n_ || cp.next_point % batch_size_ != 0)) {
     return Status::InvalidArgument(
@@ -466,6 +470,7 @@ Status FairKMSolver::ResumeFromCheckpointDir(const std::string& dir) {
   // before it, so a crash that tore the latest write costs one interval,
   // not the run.
   Status newest_failure;
+  bool quarantined = false;
   for (auto it = names.rbegin(); it != names.rend(); ++it) {
     const std::string path = dir + "/" + *it;
     Status st = LoadCheckpoint(path);
@@ -476,9 +481,13 @@ Status FairKMSolver::ResumeFromCheckpointDir(const std::string& dir) {
     // this binary or configuration.
     if (st.code() == StatusCode::kDataLoss) {
       (void)QuarantineCheckpoint(path);
+      quarantined = true;
     }
     if (newest_failure.ok()) newest_failure = st;
   }
+  // Data loss only when something was corrupt; a directory of intact but
+  // incompatible files reports why the newest one does not fit.
+  if (!quarantined) return newest_failure;
   return Status::DataLoss("no valid checkpoint in " + dir +
                           " (newest failed with: " + newest_failure.ToString() +
                           ")");

@@ -19,9 +19,10 @@
 //     that batch boundary with all aggregates consistent and queryable
 //     (CurrentResult / Assign / state() all work), and a later Sweep/Run
 //     resumes exactly where it stopped.
-//   * Snapshot()/Restore() checkpoint the full mutable float state
-//     (aggregates in their incremental summation order, pruner bounds,
-//     sweep cursor), so a restored run replays the EXACT trajectory of an
+//   * Snapshot()/Restore() checkpoint the primary run state (assignment,
+//     float sums in their incremental summation order, drift history,
+//     pruner bounds, sweep cursor); Restore rebuilds every table derived
+//     from it, so a restored run replays the EXACT trajectory of an
 //     uninterrupted one — bit-identical assignments, objective history and
 //     pruning counters — in every sweep shape (Algorithm 1 or §6.1
 //     mini-batch) x kernel backend x pruning setting.
@@ -94,8 +95,9 @@ struct RunBudget {
   /// When true (and checkpoint_dir is set), Run first restores the newest
   /// valid checkpoint in checkpoint_dir — skipping corrupt files in favor
   /// of the previous good one — before running. An empty/missing directory
-  /// falls through to the solver's current state; a directory where every
-  /// checkpoint is corrupt fails the Run with kDataLoss.
+  /// falls through to the solver's current state; a directory where no
+  /// checkpoint restores fails the Run with ResumeFromCheckpointDir's
+  /// status.
   bool resume = false;
 
   // --- Lambda annealing (optional).
@@ -232,10 +234,15 @@ class FairKMSolver {
   }
 
   // --- Checkpoint / resume.
-  /// \brief Captures the complete mutable run state. Restoring it (into this
-  /// or any solver Created over the same inputs and options) and continuing
-  /// replays the uninterrupted trajectory bit-identically.
+  /// \brief Captures the primary run state: FairKMState::Checkpoint, the
+  /// pruner's per-point bounds, lambda and the sweep counters. Restoring it
+  /// (into this or any solver Created over the same inputs and options)
+  /// rebuilds the derived tables and continuing replays the uninterrupted
+  /// trajectory bit-identically.
   Result<SolverCheckpoint> Snapshot() const;
+  /// \brief kInvalidArgument, with the session untouched, for a checkpoint
+  /// of another shape or mode, or one holding a non-finite value, a
+  /// negative drift or bound, or a lambda that is not a finite weight >= 0.
   Status Restore(const SolverCheckpoint& checkpoint);
 
   // --- Durable checkpoints (core/checkpoint_io.h format).
@@ -247,8 +254,11 @@ class FairKMSolver {
   Status LoadCheckpoint(const std::string& path);
   /// \brief Restores the newest valid checkpoint in `dir`, falling back to
   /// older files when newer ones are corrupt or incompatible. kNotFound
-  /// when the directory is missing or holds no checkpoints; kDataLoss when
-  /// checkpoints exist but none restores.
+  /// when the directory is missing or holds no checkpoints. When none
+  /// restores: kDataLoss if at least one file was corrupt (and so
+  /// quarantined), otherwise the newest file's own failure — kInvalidArgument
+  /// for an intact file this session cannot use (another n/k, mode or
+  /// format version), which stays in place.
   Status ResumeFromCheckpointDir(const std::string& dir);
 
   // --- Serving path.

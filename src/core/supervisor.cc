@@ -209,9 +209,10 @@ Result<RunStop> SupervisedRunner::Run(uint64_t seed, int max_sweeps,
   if (!policy_.checkpoint_dir.empty() && policy_.resume) {
     Status restored = solver_->ResumeFromCheckpointDir(policy_.checkpoint_dir);
     if (restored.code() == StatusCode::kDataLoss) {
-      // Every frame was corrupt; ResumeFromCheckpointDir has quarantined
-      // them, so the retry sees an empty directory (kNotFound) and the run
-      // falls through to a fresh Init instead of dying.
+      // No frame restored and the corrupt ones are quarantined now, so the
+      // retry sees an empty directory (kNotFound) and the run falls through
+      // to a fresh Init instead of dying — or sees only intact files this
+      // run cannot use, whose kInvalidArgument ends the run.
       ++stats_.io_faults;
       restored = solver_->ResumeFromCheckpointDir(policy_.checkpoint_dir);
     }

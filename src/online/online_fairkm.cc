@@ -17,7 +17,7 @@ namespace {
 
 // "FKOL" little-endian, sibling of the "FKMC" solver checkpoint magic.
 constexpr uint32_t kEngineMagic = 0x4C4F4B46;
-constexpr uint32_t kEngineVersion = 1;
+constexpr uint32_t kEngineVersion = 2;
 constexpr uint32_t kMetaTag = 1;
 constexpr uint32_t kIdsTag = 2;
 constexpr uint32_t kRowsTag = 3;
@@ -358,7 +358,6 @@ Status OnlineFairKM::CheckpointLocked() {
     sens.PutString(attr.name);
     sens.PutU32(static_cast<uint32_t>(attr.cardinality));
     sens.PutDouble(attr.weight);
-    for (const double f : attr.dataset_fractions) sens.PutDouble(f);
     for (const int32_t code : attr.codes) {
       sens.PutU32(static_cast<uint32_t>(code));
     }
@@ -367,7 +366,6 @@ Status OnlineFairKM::CheckpointLocked() {
   for (const auto& attr : view_.numeric) {
     sens.PutString(attr.name);
     sens.PutDouble(attr.weight);
-    sens.PutDouble(attr.dataset_mean);
     for (const double v : attr.values) sens.PutDouble(v);
   }
   sections.push_back({kSensitiveTag, sens.Release()});
@@ -468,10 +466,6 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Recover(
       }
       attr.cardinality = static_cast<int>(card);
       FAIRKM_RETURN_NOT_OK(r.GetDouble(&attr.weight));
-      attr.dataset_fractions.resize(card);
-      for (uint32_t s = 0; s < card; ++s) {
-        FAIRKM_RETURN_NOT_OK(r.GetDouble(&attr.dataset_fractions[s]));
-      }
       attr.codes.resize(n);
       for (size_t i = 0; i < n; ++i) {
         uint32_t code = 0;
@@ -488,7 +482,6 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Recover(
     for (auto& attr : view.numeric) {
       FAIRKM_RETURN_NOT_OK(r.GetString(&attr.name));
       FAIRKM_RETURN_NOT_OK(r.GetDouble(&attr.weight));
-      FAIRKM_RETURN_NOT_OK(r.GetDouble(&attr.dataset_mean));
       attr.values.resize(n);
       for (size_t i = 0; i < n; ++i) {
         FAIRKM_RETURN_NOT_OK(r.GetDouble(&attr.values[i]));
@@ -511,8 +504,13 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Recover(
       cluster::ValidateAssignment(assignment, n, options.solver.k));
 
   std::unique_ptr<OnlineFairKM> engine(new OnlineFairKM(options, service));
+  std::lock_guard<std::mutex> lock(engine->mu_);
   engine->store_ = std::make_shared<data::PointStore>(points);
   engine->view_ = std::move(view);
+  // The fractions and means are not stored: derive them from the restored
+  // rows as Create does, before the solver's restored moments read them.
+  engine->CountValuesLocked();
+  engine->RefreshViewLocked();
   FAIRKM_ASSIGN_OR_RETURN(
       core::FairKMSolver solver,
       core::FairKMSolver::Create(
@@ -528,8 +526,6 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Recover(
     FAIRKM_RETURN_NOT_OK(engine->solver_->Init(std::move(assignment)));
   }
 
-  std::lock_guard<std::mutex> lock(engine->mu_);
-  engine->CountValuesLocked();
   engine->row_ids_ = std::move(row_ids);
   engine->id_to_row_.reserve(n);
   for (size_t i = 0; i < n; ++i) {

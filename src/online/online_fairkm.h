@@ -40,11 +40,14 @@
 //     generation and hands it to the optional AssignService via its atomic
 //     snapshot swap — writers admit while readers assign, and a reader
 //     never observes a torn generation.
-//   * Durability: Checkpoint() persists the engine (rows, ids, sensitive
-//     view, stats) in a CRC-framed section file ("FKOL") next to a PR 7
-//     solver checkpoint ("FKMC", bit-exact float state); Recover() restores
-//     both, falling back to a canonical warm-start rebuild when the solver
-//     file is lost or torn.
+//   * Durability: Checkpoint() persists the engine in a CRC-framed section
+//     file ("FKOL", format version 2: rows, ids, the sensitive attributes'
+//     names, weights, codes and values, the assignment and the stats) next
+//     to a solver checkpoint ("FKMC", bit-exact float state). The dataset
+//     fractions and means are not stored; Recover() re-derives them from the
+//     restored rows exactly as Create does, restores both files, and falls
+//     back to a canonical warm-start rebuild when the solver file is lost or
+//     torn. A file of another format version is kInvalidArgument.
 //
 // Consistency anchor (tested property): after ANY admit/retire sequence
 // followed by Flush(), the fairness moments, counts, and objective are
@@ -134,10 +137,11 @@ class OnlineFairKM {
       serve::AssignService* service = nullptr);
 
   /// \brief Restores an engine from `options.checkpoint_dir`: the "FKOL"
-  /// engine file rebuilds the store, sensitive view, id map and stats; the
-  /// sibling solver checkpoint restores the bit-exact float state, falling
-  /// back to a canonical warm-start rebuild from the saved assignment when
-  /// it is missing or torn. Publishes a fresh generation on success.
+  /// engine file rebuilds the store, sensitive view (fractions and means
+  /// re-derived from the rows), id map and stats; the sibling solver
+  /// checkpoint restores the bit-exact float state, falling back to a
+  /// canonical warm-start rebuild from the saved assignment when it is
+  /// missing or torn. Publishes a fresh generation on success.
   static Result<std::unique_ptr<OnlineFairKM>> Recover(
       const OnlineOptions& options, serve::AssignService* service = nullptr);
 

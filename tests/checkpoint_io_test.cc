@@ -1,13 +1,15 @@
 // Durable solver checkpoints: field-exact round-trips through the on-disk
-// format, corruption (torn/truncated/bit-flipped files) surfacing as
-// kDataLoss, auto-checkpointing Run budgets, and newest-valid-wins resume
-// with fallback past corrupt files — all under deterministic fault
-// injection, with zero crashes.
+// format, restores that rebuild every derived table bit for bit, corruption
+// (torn/truncated/bit-flipped files) surfacing as kDataLoss, intact but
+// incompatible files as kInvalidArgument, auto-checkpointing Run budgets,
+// and newest-valid-wins resume with fallback past corrupt files — all under
+// deterministic fault injection, with zero crashes.
 
 #include "core/checkpoint_io.h"
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "common/io.h"
 #include "core/fairkm.h"
 #include "core/solver.h"
+#include "data/point_store.h"
 #include "testlib/worlds.h"
 
 namespace fairkm {
@@ -80,28 +83,15 @@ void ExpectCheckpointsEqual(const SolverCheckpoint& a,
   EXPECT_EQ(a.state.assignment, b.state.assignment);
   EXPECT_EQ(a.state.counts, b.state.counts);
   EXPECT_TRUE(a.state.sums == b.state.sums);
-  EXPECT_EQ(a.state.sum_norms, b.state.sum_norms);
+  EXPECT_EQ(a.state.total_point_norm, b.state.total_point_norm);
   EXPECT_EQ(a.state.cat_counts, b.state.cat_counts);
   EXPECT_EQ(a.state.num_sums, b.state.num_sums);
-  EXPECT_EQ(a.state.cat_u2, b.state.cat_u2);
-  EXPECT_EQ(a.state.cat_uq, b.state.cat_uq);
   EXPECT_EQ(a.state.use_snapshot, b.state.use_snapshot);
   EXPECT_EQ(a.state.proto_counts, b.state.proto_counts);
   EXPECT_TRUE(a.state.proto_sums == b.state.proto_sums);
-  EXPECT_EQ(a.state.proto_sum_norms, b.state.proto_sum_norms);
   EXPECT_EQ(a.state.track_bounds, b.state.track_bounds);
   EXPECT_EQ(a.state.drift, b.state.drift);
   EXPECT_EQ(a.state.max_step_sum, b.state.max_step_sum);
-  EXPECT_EQ(a.state.cat_rem_delta, b.state.cat_rem_delta);
-  EXPECT_EQ(a.state.cat_ins_delta, b.state.cat_ins_delta);
-  EXPECT_EQ(a.state.fair_rem_bound, b.state.fair_rem_bound);
-  EXPECT_EQ(a.state.fair_ins_bound, b.state.fair_ins_bound);
-  EXPECT_EQ(a.state.ins_best, b.state.ins_best);
-  EXPECT_EQ(a.state.ins_second, b.state.ins_second);
-  EXPECT_EQ(a.state.ins_best_cluster, b.state.ins_best_cluster);
-  EXPECT_EQ(a.state.addf_best, b.state.addf_best);
-  EXPECT_EQ(a.state.addf_second, b.state.addf_second);
-  EXPECT_EQ(a.state.addf_best_cluster, b.state.addf_best_cluster);
 
   EXPECT_EQ(a.has_pruner, b.has_pruner);
   if (a.has_pruner && b.has_pruner) {
@@ -110,6 +100,53 @@ void ExpectCheckpointsEqual(const SolverCheckpoint& a,
     EXPECT_EQ(a.pruner.lbmin0, b.pruner.lbmin0);
     EXPECT_EQ(a.pruner.max_drift_ref, b.pruner.max_drift_ref);
     EXPECT_EQ(a.pruner.fresh, b.pruner.fresh);
+  }
+}
+
+// The tables a checkpoint does not keep are rebuilt on restore; these are
+// the reads of them, each compared exactly between two solvers.
+void ExpectSameDerivedState(const FairKMSolver& source,
+                            const FairKMSolver& restored) {
+  const FairKMState& a = source.state();
+  const FairKMState& b = restored.state();
+  FairKMState::FairnessMomentTables ma, mb;
+  a.ExportFairnessMoments(&ma);
+  b.ExportFairnessMoments(&mb);
+  EXPECT_EQ(ma.cat_counts, mb.cat_counts);
+  EXPECT_EQ(ma.cat_u2, mb.cat_u2);
+  EXPECT_EQ(ma.cat_uq, mb.cat_uq);
+  EXPECT_EQ(ma.cat_q2, mb.cat_q2);
+  EXPECT_EQ(ma.num_sums, mb.num_sums);
+  EXPECT_EQ(a.KMeansTermCached(), b.KMeansTermCached());
+  EXPECT_EQ(a.FairnessTermCached(), b.FairnessTermCached());
+  ASSERT_EQ(a.bound_tracking(), b.bound_tracking());
+  const int k = a.k();
+  if (a.bound_tracking()) {
+    for (int c = 0; c < k; ++c) {
+      EXPECT_EQ(a.fair_removal_bound(c), b.fair_removal_bound(c)) << c;
+      EXPECT_EQ(a.fair_insertion_bound(c), b.fair_insertion_bound(c)) << c;
+      EXPECT_EQ(a.FairInsertionLowerBoundExcluding(c),
+                b.FairInsertionLowerBoundExcluding(c))
+          << c;
+      EXPECT_EQ(a.MinAdditionFactorExcluding(c),
+                b.MinAdditionFactorExcluding(c))
+          << c;
+    }
+  }
+  std::vector<double> da(k), db(k), dist_a(k), dist_b(k);
+  for (size_t i = 0; i < a.num_rows(); ++i) {
+    a.DeltaKMeansAllClusters(i, da.data(), dist_a.data());
+    b.DeltaKMeansAllClusters(i, db.data(), dist_b.data());
+    EXPECT_EQ(da, db) << "K-Means deltas of row " << i;
+    EXPECT_EQ(dist_a, dist_b) << "distances of row " << i;
+    a.DeltaFairnessAllClusters(i, da.data());
+    b.DeltaFairnessAllClusters(i, db.data());
+    EXPECT_EQ(da, db) << "fairness deltas of row " << i;
+    if (!a.bound_tracking()) continue;
+    EXPECT_EQ(a.FairRemovalDelta(i), b.FairRemovalDelta(i)) << i;
+    a.FairInsertionDeltaAllClusters(i, da.data());
+    b.FairInsertionDeltaAllClusters(i, db.data());
+    EXPECT_EQ(da, db) << "insertion deltas of row " << i;
   }
 }
 
@@ -128,12 +165,25 @@ SolverCheckpoint TrainedCheckpoint(const SeededWorld& world,
 
 TEST_F(CheckpointIoTest, RoundTripIsFieldExact) {
   const SeededWorld world = MakeSeededWorld(91);
-  const SolverCheckpoint cp = TrainedCheckpoint(world, BaseOptions(), 3);
+  FairKMSolver source =
+      FairKMSolver::Create(&world.points, &world.sensitive, BaseOptions())
+          .ValueOrDie();
+  ASSERT_TRUE(source.Init(uint64_t{11}).ok());
+  RunBudget leg;
+  leg.max_sweeps = 3;
+  ASSERT_TRUE(source.Run(leg).ok());
+  const SolverCheckpoint cp = source.Snapshot().ValueOrDie();
   const std::string path = Path("ckpt.fkmc");
   ASSERT_TRUE(WriteSolverCheckpoint(path, cp).ok());
   Result<SolverCheckpoint> back = ReadSolverCheckpoint(path);
   ASSERT_TRUE(back.ok()) << back.status();
   ExpectCheckpointsEqual(cp, back.ValueOrDie());
+
+  FairKMSolver restored =
+      FairKMSolver::Create(&world.points, &world.sensitive, BaseOptions())
+          .ValueOrDie();
+  ASSERT_TRUE(restored.Restore(back.ValueOrDie()).ok());
+  ExpectSameDerivedState(source, restored);
 }
 
 TEST_F(CheckpointIoTest, MissingFileIsNotFound) {
@@ -468,72 +518,157 @@ TEST_F(CheckpointIoTest, LoadIntoMismatchedSolverIsInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
-// Format version 1 keeps a retired sweep-mode byte at offset 20 of the meta
-// section (after num_rows u64, k u32 and batch_size u64). The snapshot-
-// parallel mode that wrote 1 there walked the serial mini-batch trajectory
-// bit for bit, so such a file must restore into the mini-batch solver and
-// finish exactly like the uninterrupted run.
-TEST_F(CheckpointIoTest, RetiredModeByteRestoresIntoMiniBatchSolver) {
+// A directory of intact checkpoints this session cannot use is not data
+// loss: resume reports why the newest file does not fit and leaves it
+// listed. Here a k = 3 checkpoint resumed into a k = 4 solver, then the
+// same file framed as format version 1.
+TEST_F(CheckpointIoTest, ResumeFromAnIncompatibleDirectoryIsInvalidArgument) {
   constexpr uint32_t kCheckpointMagic = 0x464B4D43;
-  constexpr uint32_t kMetaTag = 1;
-  constexpr size_t kModeByte = 20;
-  const SeededWorld world = MakeSeededWorld(97);
-  const FairKMOptions options = BaseOptions();
+  const SeededWorld world = MakeSeededWorld(90);
+  const SolverCheckpoint cp = TrainedCheckpoint(world, BaseOptions(), 2);
+  const std::string name = CheckpointFileName(2);
+  ASSERT_TRUE(WriteSolverCheckpoint(Path(name), cp).ok());
 
-  FairKMSolver reference =
-      FairKMSolver::Create(&world.points, &world.sensitive, options)
-          .ValueOrDie();
-  ASSERT_TRUE(reference.Init(uint64_t{11}).ok());
-  ASSERT_TRUE(reference.Run().ok());
+  FairKMOptions other = BaseOptions();
+  other.k = 4;
+  FairKMSolver mismatched =
+      FairKMSolver::Create(&world.points, &world.sensitive, other).ValueOrDie();
+  EXPECT_EQ(mismatched.ResumeFromCheckpointDir(dir_.string()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ListCheckpointFiles(dir_.string()).ValueOrDie(),
+            std::vector<std::string>{name});
 
-  // Stop mid-sweep 2 so the restored cursor sits inside a sweep.
-  FairKMSolver paused =
-      FairKMSolver::Create(&world.points, &world.sensitive, options)
-          .ValueOrDie();
-  ASSERT_TRUE(paused.Init(uint64_t{11}).ok());
-  ASSERT_TRUE(paused
-                  .Run({},
-                       [](const SweepProgress& p) {
-                         return !(p.sweep == 2 && p.points_processed == 32);
-                       })
-                  .ok());
-  ASSERT_TRUE(paused.mid_sweep());
-  const std::string path = Path("parallel-mode.fkmc");
-  ASSERT_TRUE(paused.SaveCheckpoint(path).ok());
-
-  // Re-frame the file with the mode byte set, as the parallel mode wrote it.
   Result<io::SectionFile> file =
-      io::ReadSectionFile(path, kCheckpointMagic, 1, "test");
+      io::ReadSectionFile(Path(name), kCheckpointMagic, 2, "test");
   ASSERT_TRUE(file.ok()) << file.status();
-  io::SectionFile sections = file.MoveValueUnsafe();
-  bool patched = false;
-  for (io::Section& section : sections.sections) {
-    if (section.tag != kMetaTag) continue;
-    ASSERT_GT(section.payload.size(), kModeByte);
-    EXPECT_EQ(section.payload[kModeByte], '\0');  // Written as 0 now.
-    section.payload[kModeByte] = 1;
-    patched = true;
-  }
-  ASSERT_TRUE(patched);
-  ASSERT_TRUE(io::WriteSectionFile(path, kCheckpointMagic, sections.version,
-                                   sections.sections, "test")
+  ASSERT_TRUE(io::WriteSectionFile(Path(name), kCheckpointMagic, 1,
+                                   file.ValueOrDie().sections, "test")
                   .ok());
-
-  FairKMSolver resumed =
-      FairKMSolver::Create(&world.points, &world.sensitive, options)
+  FairKMSolver fits =
+      FairKMSolver::Create(&world.points, &world.sensitive, BaseOptions())
           .ValueOrDie();
-  const Status loaded = resumed.LoadCheckpoint(path);
-  ASSERT_TRUE(loaded.ok()) << loaded;
-  EXPECT_TRUE(resumed.mid_sweep());
-  ASSERT_TRUE(resumed.Run().ok());
-  const FairKMResult a = reference.CurrentResult().ValueOrDie();
-  const FairKMResult b = resumed.CurrentResult().ValueOrDie();
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.objective_history, b.objective_history);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.total_candidates, b.total_candidates);
-  EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
+  EXPECT_EQ(fits.ResumeFromCheckpointDir(dir_.string()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(fits.initialized());
+  EXPECT_EQ(ListCheckpointFiles(dir_.string()).ValueOrDie(),
+            std::vector<std::string>{name});
+}
+
+// Admits shifted copies of four rows and retires three rows the way the
+// online engine writes: each row enters the store, the view and the state
+// together, or leaves all three by a swap with the last row. Then the
+// dataset fractions and means are re-derived from the rows and the session
+// is resynced.
+void AdmitThenRetire(FairKMSolver* solver, data::PointStore* store,
+                     data::SensitiveView* view) {
+  FairKMState* state = solver->mutable_state();
+  const size_t d = store->cols();
+  for (const size_t j : {size_t{3}, size_t{17}, size_t{40}, size_t{41}}) {
+    std::vector<double> row(store->Row(j), store->Row(j) + d);
+    for (double& x : row) x += 0.25;
+    ASSERT_TRUE(store->AppendRow(row.data(), d).ok());
+    for (auto& attr : view->categorical) attr.codes.push_back(attr.codes[j]);
+    for (auto& attr : view->numeric) {
+      attr.values.push_back(attr.values[j] + 1.0);
+    }
+    ASSERT_TRUE(state->AdmitAppended(static_cast<int>(j) % state->k()).ok());
+  }
+  for (const size_t r : {size_t{0}, size_t{11}, size_t{29}}) {
+    ASSERT_TRUE(state->RetireSwapped(r).ok());
+    ASSERT_TRUE(store->SwapRemoveRow(r).ok());
+    for (auto& attr : view->categorical) {
+      attr.codes[r] = attr.codes.back();
+      attr.codes.pop_back();
+    }
+    for (auto& attr : view->numeric) {
+      attr.values[r] = attr.values.back();
+      attr.values.pop_back();
+    }
+  }
+  const double n = static_cast<double>(store->rows());
+  for (auto& attr : view->categorical) {
+    std::vector<double> counts(attr.dataset_fractions.size(), 0.0);
+    for (const int32_t v : attr.codes) counts[static_cast<size_t>(v)] += 1.0;
+    for (size_t s = 0; s < counts.size(); ++s) {
+      attr.dataset_fractions[s] = counts[s] / n;
+    }
+  }
+  for (auto& attr : view->numeric) {
+    double sum = 0.0;
+    for (const double v : attr.values) sum += v;
+    attr.dataset_mean = sum / n;
+  }
+  state->RefreshDatasetStats();
+  ASSERT_TRUE(solver->SyncStoreGrowth().ok());
+}
+
+// A checkpoint keeps primary state only; Restore rebuilds the derived
+// tables. A snapshot restored into a fresh solver must read exactly as its
+// source through every one of them, then finish the same run: in live and
+// mini-batch mode, pruned and exact, at a sweep boundary, mid-sweep and
+// after an admit/retire batch, under every cluster weighting.
+TEST_F(CheckpointIoTest, RestoreRebuildsTheDerivedTablesBitForBit) {
+  enum class At { kSweepBoundary, kMidSweep, kAfterAdmitRetire };
+  const SeededWorld world = MakeSeededWorld(97);
+  for (const ClusterWeighting weighting :
+       {ClusterWeighting::kSquaredFraction, ClusterWeighting::kFractional,
+        ClusterWeighting::kUnweighted}) {
+    for (const int minibatch : {0, 16}) {
+      for (const bool pruning : {true, false}) {
+        for (const At at :
+             {At::kSweepBoundary, At::kMidSweep, At::kAfterAdmitRetire}) {
+          // Without mini-batching a sweep is one batch: no mid-sweep stop.
+          if (at == At::kMidSweep && minibatch == 0) continue;
+          SCOPED_TRACE("weighting " + std::to_string(static_cast<int>(weighting)) +
+                       ", minibatch " + std::to_string(minibatch) +
+                       ", pruning " + std::to_string(pruning) + ", at " +
+                       std::to_string(static_cast<int>(at)));
+          FairKMOptions options = BaseOptions();
+          options.minibatch_size = minibatch;
+          options.enable_pruning = pruning;
+          options.fairness.weighting = weighting;
+          auto store = std::make_shared<data::PointStore>(world.points);
+          data::SensitiveView view = world.sensitive;
+          FairKMSolver source =
+              FairKMSolver::Create(store, &view, options).ValueOrDie();
+          ASSERT_TRUE(source.Init(uint64_t{11}).ok());
+          if (at == At::kMidSweep) {
+            ASSERT_TRUE(source
+                            .Run({},
+                                 [](const SweepProgress& p) {
+                                   return !(p.sweep == 2 &&
+                                            p.points_processed == 32);
+                                 })
+                            .ok());
+            ASSERT_TRUE(source.mid_sweep());
+          } else {
+            RunBudget two;
+            two.max_sweeps = 2;
+            ASSERT_TRUE(source.Run(two).ok());
+          }
+          if (at == At::kAfterAdmitRetire) {
+            AdmitThenRetire(&source, store.get(), &view);
+            ASSERT_FALSE(HasFatalFailure());
+          }
+          const SolverCheckpoint cp = source.Snapshot().ValueOrDie();
+
+          FairKMSolver restored =
+              FairKMSolver::Create(store, &view, options).ValueOrDie();
+          ASSERT_TRUE(restored.Restore(cp).ok());
+          ExpectSameDerivedState(source, restored);
+
+          ASSERT_TRUE(source.Run().ok());
+          ASSERT_TRUE(restored.Run().ok());
+          const FairKMResult a = source.CurrentResult().ValueOrDie();
+          const FairKMResult b = restored.CurrentResult().ValueOrDie();
+          EXPECT_EQ(a.assignment, b.assignment);
+          EXPECT_EQ(a.objective_history, b.objective_history);
+          EXPECT_EQ(a.total_candidates, b.total_candidates);
+          EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

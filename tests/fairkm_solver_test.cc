@@ -570,11 +570,13 @@ TEST(FairKMSolverTest, LifecycleGuardsAndCheckpointValidation) {
 }
 
 // A checkpoint restores only into a session it fits. Session A (one
-// attribute with 2 values) sweeps once and snapshots; a session over the
-// same points whose attribute has 5 values, or other codes, must reject it
-// — as must corrupted copies — with kInvalidArgument and its own state
-// untouched. The first case used to restore as OK and send the next sweep
-// past the end of the 2-value count table.
+// attribute with 2 values, one numeric attribute) sweeps once and
+// snapshots; a session over the same points whose attribute has 5 values,
+// or other codes, must reject it — as must corrupted copies — with
+// kInvalidArgument and its own state untouched. The first case used to
+// restore as OK and send the next sweep past the end of the 2-value count
+// table; a NaN drift or bound used to restore as OK and prune every fresh
+// point, since NaN fails every gate comparison.
 TEST(FairKMSolverTest, RestoreRejectsACheckpointThatDoesNotFitTheSession) {
   Rng rng(91);
   data::Matrix points(200, 3);
@@ -593,8 +595,15 @@ TEST(FairKMSolverTest, RestoreRejectsACheckpointThatDoesNotFitTheSession) {
       attr.codes.push_back(v);
       attr.dataset_fractions[static_cast<size_t>(v)] += 1.0 / 200.0;
     }
+    data::NumericSensitive age;
+    age.name = "age";
+    for (size_t i = 0; i < points.rows(); ++i) {
+      age.values.push_back(draw.Normal(40, 10));
+      age.dataset_mean += age.values.back() / 200.0;
+    }
     data::SensitiveView view;
     view.categorical.push_back(std::move(attr));
+    view.numeric.push_back(std::move(age));
     return view;
   };
   const data::SensitiveView two = view_over(2, 1);
@@ -615,23 +624,27 @@ TEST(FairKMSolverTest, RestoreRejectsACheckpointThatDoesNotFitTheSession) {
     FairKMSolver b = FairKMSolver::Create(&points, &view, options).ValueOrDie();
     ASSERT_TRUE(b.Init(uint64_t{5}).ok());
     const SolverCheckpoint before = b.Snapshot().ValueOrDie();
+    FairKMState::FairnessMomentTables moments_before;
+    b.state().ExportFairnessMoments(&moments_before);
     const Status st = b.Restore(cp);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what << ": " << st.ToString();
     const SolverCheckpoint after = b.Snapshot().ValueOrDie();
     EXPECT_EQ(after.state.assignment, before.state.assignment) << what;
     EXPECT_EQ(after.state.counts, before.state.counts) << what;
     EXPECT_EQ(after.state.cat_counts, before.state.cat_counts) << what;
-    EXPECT_EQ(after.state.cat_u2, before.state.cat_u2) << what;
+    EXPECT_EQ(after.state.drift, before.state.drift) << what;
+    FairKMState::FairnessMomentTables moments_after;
+    b.state().ExportFairnessMoments(&moments_after);
+    EXPECT_EQ(moments_after.cat_u2, moments_before.cat_u2) << what;
     EXPECT_EQ(after.pruner.fresh, before.pruner.fresh) << what;
+    EXPECT_EQ(after.pruner.lb0, before.pruner.lb0) << what;
+    EXPECT_EQ(after.lambda, before.lambda) << what;
     EXPECT_EQ(after.sweeps_completed, before.sweeps_completed) << what;
   };
   expect_rejected(five, checkpoint, "attribute with 5 values");
   expect_rejected(recoded, checkpoint, "same shape, other codes");
 
   SolverCheckpoint cp = checkpoint;
-  cp.state.cat_u2[0].pop_back();
-  expect_rejected(two, cp, "short U2 row");
-  cp = checkpoint;
   cp.state.num_sums.emplace_back(static_cast<size_t>(options.k), 0.0);
   expect_rejected(two, cp, "extra numeric table");
   cp = checkpoint;
@@ -642,18 +655,59 @@ TEST(FairKMSolverTest, RestoreRejectsACheckpointThatDoesNotFitTheSession) {
   ++cp.state.cat_counts[0][0];
   --cp.state.cat_counts[0][1];
   expect_rejected(two, cp, "group counts off the assignment");
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   cp = checkpoint;
-  cp.state.ins_best_cluster = options.k;
-  expect_rejected(two, cp, "insertion best cluster out of range");
+  cp.state.sums[1] = kNaN;
+  expect_rejected(two, cp, "NaN feature sum");
   cp = checkpoint;
-  cp.state.addf_best_cluster = -2;
-  expect_rejected(two, cp, "addition-factor best cluster out of range");
+  cp.state.num_sums[0][2] = kInf;
+  expect_rejected(two, cp, "infinite numeric sum");
+  cp = checkpoint;
+  cp.state.proto_sums[0] = -kInf;
+  expect_rejected(two, cp, "infinite prototype sum");
+  cp = checkpoint;
+  cp.state.total_point_norm = kNaN;
+  expect_rejected(two, cp, "NaN total point norm");
+  cp = checkpoint;
+  cp.lambda = kNaN;
+  expect_rejected(two, cp, "NaN lambda");
+  cp = checkpoint;
+  cp.lambda = kInf;
+  expect_rejected(two, cp, "infinite lambda");
+  cp = checkpoint;
+  cp.lambda = -1.0;
+  expect_rejected(two, cp, "negative lambda");
   if (checkpoint.state.track_bounds) {
     cp = checkpoint;
-    cp.state.cat_ins_delta[0].pop_back();
-    expect_rejected(two, cp, "short insertion table");
+    for (double& x : cp.state.drift) x = kNaN;
+    expect_rejected(two, cp, "NaN drift");
+    cp = checkpoint;
+    cp.state.drift[1] = -1.0;
+    expect_rejected(two, cp, "negative drift");
+    cp = checkpoint;
+    cp.state.max_step_sum = kNaN;
+    expect_rejected(two, cp, "NaN max-step sum");
+    cp = checkpoint;
+    cp.state.max_step_sum = -0.5;
+    expect_rejected(two, cp, "negative max-step sum");
   }
   if (checkpoint.has_pruner) {
+    cp = checkpoint;
+    for (double& x : cp.pruner.lb0) x = kNaN;
+    expect_rejected(two, cp, "NaN pruner lb0");
+    cp = checkpoint;
+    cp.pruner.lb0[3] = -1.0;
+    expect_rejected(two, cp, "negative pruner lb0");
+    cp = checkpoint;
+    cp.pruner.drift_ref[0] = kInf;
+    expect_rejected(two, cp, "infinite pruner drift_ref");
+    cp = checkpoint;
+    cp.pruner.lbmin0[5] = kNaN;
+    expect_rejected(two, cp, "NaN pruner lbmin0");
+    cp = checkpoint;
+    cp.pruner.max_drift_ref[7] = -2.0;
+    expect_rejected(two, cp, "negative pruner max_drift_ref");
     cp = checkpoint;
     cp.pruner.drift_ref.pop_back();
     expect_rejected(two, cp, "short pruner drift_ref");

@@ -40,13 +40,14 @@ echo "== install: every layer exported and installed =="
 tools/check_install.sh "$BUILD_DIR" "$BUILD_DIR/install_check"
 
 # Explicit gate over the fault-injection/durability surface: the corruption,
-# torn-write and degraded-serve suites plus the CLI smoke (which includes an
-# env-armed FAIRKM_FAULT run). Redundant with the full ctest above by
-# construction — the point is that label/regex drift elsewhere can never
-# silently drop these suites from CI.
+# torn-write and degraded-serve suites, checkpoint validation and resume
+# (every test with Checkpoint or RestoreRejects in its name), plus the CLI
+# smoke (which includes an env-armed FAIRKM_FAULT run). Redundant with the
+# full ctest above by construction — the point is that label/regex drift
+# elsewhere can never silently drop these suites from CI.
 echo "== fault injection: durability + degraded-serve suites =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjection|Crc32|BinaryIo|IoTest|CheckpointIo|ServeRobustness|Backoff|cli_smoke|Supervisor|crash_recovery|OnlineDrift|OnlineRecovery'
+  -R 'FaultInjection|Crc32|BinaryIo|IoTest|Checkpoint|RestoreRejects|ServeRobustness|Backoff|cli_smoke|Supervisor|crash_recovery|OnlineDrift|OnlineRecovery'
 
 # Supervisor self-healing gate: an env-armed divergence fault (one forced
 # non-finite objective) against the CLI's --supervise path must cost exactly
